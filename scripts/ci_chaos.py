@@ -11,7 +11,7 @@ accounting after each:
   one ``xks_pool_fallback_total`` and one ``xks_pool_worker_deaths_total``
   increment per death, and the pool must respawn back to full size;
 * **storage corruption** — a bit flipped inside a posting block of the
-  packed segments is detected by the per-block CRC on a
+  packed segments is detected by the per-chunk CRC on a
   ``--verify-checksums`` server, counted once in
   ``xks_corruption_detected_total{tier="segment"}``, the segment tier is
   quarantined, and every answer is re-served byte-identical from the
@@ -42,7 +42,7 @@ import urllib.error
 import urllib.request
 
 from repro.index.builder import build_index
-from repro.index.segments import SegmentReader, segments_path
+from repro.index.segments import open_index_segments, segments_path
 from repro.obs.metrics import get_registry
 from repro.robustness import faultinject
 from repro.robustness.admission import AdmissionGate
@@ -160,8 +160,8 @@ def check_corruption_reanswer(index_dir, reference) -> None:
     tier quarantined, every answer re-served byte-identical from the
     B+trees; fsck flags the same corruption."""
     path = segments_path(index_dir)
-    with SegmentReader(path) as reader:
-        start = reader.skip_table("xkrare").starts[0]
+    with open_index_segments(index_dir) as reader:
+        start = reader.byte_offset("xkrare")
     with open(path, "r+b") as fh:
         fh.seek(start)
         byte = fh.read(1)[0]

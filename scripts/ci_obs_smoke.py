@@ -20,7 +20,7 @@ search API, then asserts that:
   (skipped where ``fork`` is unavailable);
 * the packed posting segments answer byte-identically to the B+tree
   tier (all three algorithms, SLCA and ELCA; in-thread and over a
-  2-process pool sharing a posting-block cache), the segment metrics
+  2-process pool mapping the same segment file), the segment metrics
   appear on ``/metrics``, and a mid-run :class:`IndexUpdater` bump
   invalidates segment readers in every worker before the rebuilt
   segments take over;
@@ -402,7 +402,6 @@ def check_segments(index_dir: str) -> None:
 
     from repro.index.updates import IndexUpdater
     from repro.xksearch.parallel import WorkerPool
-    from repro.xksearch.shared_cache import PostingBlockCache
 
     queries = ("John Ben", "class john", "ben sue", "databases search")
 
@@ -452,9 +451,8 @@ def check_segments(index_dir: str) -> None:
         )
         return
 
-    # Pool phase: workers read segments through the shared posting-block
-    # cache; a mid-run IndexUpdater bump must stale every worker's
-    # segment reader (answers stay correct via the B+tree fallback, then
+    # Pool phase: workers map the same segment file; a mid-run
+    # IndexUpdater bump must stale every worker's segment reader (answers stay correct via the B+tree fallback, then
     # the rebuilt segments take over).
     def fetch_ids(base, query):
         quoted = urllib.parse.quote(query)
@@ -463,15 +461,13 @@ def check_segments(index_dir: str) -> None:
         ) as resp:
             return json.loads(resp.read())["ids"]
 
-    posting = PostingBlockCache()
-    pool = WorkerPool(index_dir, workers=2, posting_cache=posting)
+    pool = WorkerPool(index_dir, workers=2)
     try:
         # A QueryCache makes the engine check the index generation before
         # planning, so the post-update query replans against the fresh
         # frequency table (the same protocol the real server uses).
         with XKSearch.open(index_dir, cache=QueryCache()) as system:
             system.engine.attach_pool(pool)
-            system.index.attach_posting_cache(posting)
             server = make_server(system, port=0, metrics=ServerMetrics())
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
@@ -496,7 +492,6 @@ def check_segments(index_dir: str) -> None:
                 thread.join(timeout=5)
     finally:
         pool.close()
-        posting.close()
 
     # Reference answers from a segment-less in-thread system (post-update
     # for the zzz query, which exercises the rebuilt segments' content).
@@ -510,8 +505,8 @@ def check_segments(index_dir: str) -> None:
         want = dotted(reference.search_ids("john zzz"))
         assert updated == want, ("john zzz", updated, want)
         assert want, "planted keyword produced no results"
-    assert "xks_posting_cache_" in metrics_body, (
-        "pooled server exposes no posting-cache metrics"
+    assert 'xks_segment_sources_total{tier="segment"}' in metrics_body, (
+        "pooled server exposes no segment-tier metrics"
     )
     print(
         "segments OK: byte-identical on/off (3 algorithms + ELCA), metrics "

@@ -24,10 +24,17 @@ first answers appear long before ``S1`` is exhausted, with only O(1) state.
 Main-memory complexity ``O(k·d·|S1|·log|S|)`` where ``d`` is the maximum
 depth and ``|S|`` the largest list; the same control flow over cursor-based
 sources is the Scan Eager algorithm (:mod:`repro.core.scan_eager`).
+
+Sources that expose their list as sorted integer keys of one
+:class:`~repro.xmltree.codec.KeyLayout` (the posting segments do) are run
+by an **integer kernel**: the same loop, filtering, deadline checkpoints
+and operation counts, with ``lm``/``rm`` as one ``bisect`` over the keys
+and ``lca`` as a masked ``and`` — tuples exist only for the results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence
 
 from repro.core.counters import OpCounters
@@ -80,6 +87,9 @@ def eager_slca(
         raise ValueError("at least one keyword list is required")
     if any(len(source) == 0 for source in sources):
         return
+    if _share_packed_layout(sources):
+        yield from _eager_slca_packed(sources, counters)
+        return
     others = sources[1:]
     held: Optional[DeweyTuple] = None
     for v in sources[0].scan():
@@ -98,6 +108,96 @@ def eager_slca(
     if held is not None:
         counters.results += 1
         yield held
+
+
+def _share_packed_layout(sources: Sequence[MatchSource]) -> bool:
+    """Whether every source exposes integer keys of one layout, and every
+    probed source the same access mode (see ``PackedListSource``)."""
+    layout = getattr(sources[0], "layout", None)
+    return layout is not None and all(
+        getattr(source, "layout", None) is layout
+        and source.cursor == sources[1].cursor
+        for source in sources[1:]
+    )
+
+
+def _eager_slca_packed(
+    sources: Sequence[MatchSource], counters: OpCounters
+) -> Iterator[DeweyTuple]:
+    """:func:`eager_slca` over integer keys.
+
+    ``deeper(lca(x, lm), lca(x, rm))`` is the larger of the two masked
+    keys (both are prefixes of ``x``), and "``held`` is an ancestor of
+    ``x``" is ``lca(held, x) == held``.  In cursor mode the bisect starts
+    at the list's cursor, and a probe behind it searches the passed prefix
+    instead — counted exactly as the cursor sources count.  Counts are
+    kept in locals and written to *counters* before every yield and on
+    exit, whichever way the generator ends.
+    """
+    layout = sources[0].layout
+    lca_masks, unpack = layout.lca_masks, layout.unpack
+    lists = [source.keys for source in sources[1:]]
+    cursor = sources[-1].cursor
+    positions = [0] * len(lists)
+    slots = range(len(lists))
+    candidates = lca_ops = advances = reseeks = 0
+
+    def flush() -> None:
+        nonlocal candidates, lca_ops, advances, reseeks
+        counters.lm_ops += candidates * len(lists)
+        counters.rm_ops += candidates * len(lists)
+        counters.candidates += candidates
+        counters.lca_ops += lca_ops
+        counters.cursor_advances += advances
+        counters.cursor_reseeks += reseeks
+        candidates = lca_ops = advances = reseeks = 0
+
+    held: Optional[int] = None
+    try:
+        for x in sources[0].keys:
+            checkpoint("execute")
+            for slot in slots:
+                keys = lists[slot]
+                position = positions[slot]
+                if position and keys[position - 1] >= x:
+                    reseeks += 2  # lm and rm each re-seek the passed prefix
+                    i = bisect_left(keys, x, 0, position)
+                else:
+                    i = bisect_left(keys, x, position)
+                    if cursor:
+                        advances += i - position
+                        positions[slot] = i
+                if i == len(keys):
+                    x &= lca_masks[(x ^ keys[i - 1]).bit_length()]
+                    lca_ops += 1
+                    continue
+                right = keys[i]
+                if right == x:
+                    lca_ops += 2  # both matches are x itself
+                    continue
+                best = x & lca_masks[(x ^ right).bit_length()]
+                lca_ops += 1
+                if i:
+                    left = x & lca_masks[(x ^ keys[i - 1]).bit_length()]
+                    lca_ops += 1
+                    if left > best:
+                        best = left
+                x = best
+            candidates += 1
+            if held is None:
+                held = x
+            elif x > held:
+                if held & lca_masks[(held ^ x).bit_length()] != held:  # Lemma 2
+                    flush()
+                    counters.results += 1
+                    yield unpack(held)
+                held = x
+        if held is not None:
+            flush()
+            counters.results += 1
+            yield unpack(held)
+    finally:
+        flush()
 
 
 def indexed_lookup_eager(

@@ -17,11 +17,6 @@ implementations in :mod:`repro.index.inverted` (B+tree descents) and
 :mod:`repro.index.segments` (packed posting segments) expose the same
 interface.  All implementations share an :class:`OpCounters` so a query's
 operation profile can be compared with Table 1.
-
-The module also hosts the galloping (exponential) search helpers the
-packed sources use for in-block probes: IL's probes into one list arrive
-in near-ascending order, so searching outward from the previous hit
-costs ``O(log d)`` in the probe distance ``d`` rather than ``O(log n)``.
 """
 
 from __future__ import annotations
@@ -31,62 +26,6 @@ from typing import Iterator, List, Optional, Protocol, Sequence
 
 from repro.core.counters import OpCounters
 from repro.xmltree.dewey import DeweyTuple
-
-
-def gallop_rightmost_le(
-    nodes: Sequence[DeweyTuple], v: DeweyTuple, hint: int = 0
-) -> int:
-    """Index of the rightmost element ``<= v``, or ``-1`` if none.
-
-    Exponential search outward from *hint* (clamped into range), then a
-    bisect within the located bracket.
-    """
-    n = len(nodes)
-    if n == 0:
-        return -1
-    i = min(max(hint, 0), n - 1)
-    if nodes[i] <= v:
-        lo, hi, step = i, i + 1, 1
-        while hi < n and nodes[hi] <= v:
-            lo = hi
-            hi += step
-            step <<= 1
-        hi = min(hi, n)
-    else:
-        hi, lo, step = i, i - 1, 1
-        while lo >= 0 and nodes[lo] > v:
-            hi = lo
-            lo -= step
-            step <<= 1
-        lo = max(lo, -1)
-    # Invariant: nodes[lo] <= v (or lo == -1), nodes[hi] > v (or hi == n).
-    return bisect_right(nodes, v, lo + 1, hi) - 1
-
-
-def gallop_leftmost_ge(
-    nodes: Sequence[DeweyTuple], v: DeweyTuple, hint: int = 0
-) -> int:
-    """Index of the leftmost element ``>= v``, or ``len(nodes)`` if none."""
-    n = len(nodes)
-    if n == 0:
-        return 0
-    i = min(max(hint, 0), n - 1)
-    if nodes[i] >= v:
-        hi, lo, step = i, i - 1, 1
-        while lo >= 0 and nodes[lo] >= v:
-            hi = lo
-            lo -= step
-            step <<= 1
-        lo = max(lo, -1)
-    else:
-        lo, hi, step = i, i + 1, 1
-        while hi < n and nodes[hi] < v:
-            lo = hi
-            hi += step
-            step <<= 1
-        hi = min(hi, n)
-    # Invariant: nodes[lo] < v (or lo == -1), nodes[hi] >= v (or hi == n).
-    return bisect_left(nodes, v, lo + 1, hi)
 
 
 class MatchSource(Protocol):
@@ -159,11 +98,8 @@ class CursorListSource:
         return self._cursor > 0 and self._nodes[self._cursor - 1] >= v
 
     def _advance_to(self, v: DeweyTuple) -> None:
-        nodes, n = self._nodes, len(self._nodes)
-        c = self._cursor
-        while c < n and nodes[c] < v:
-            c += 1
-            self.counters.cursor_advances += 1
+        c = bisect_left(self._nodes, v, self._cursor)
+        self.counters.cursor_advances += c - self._cursor
         self._cursor = c
 
     def lm(self, v: DeweyTuple) -> Optional[DeweyTuple]:
@@ -237,13 +173,12 @@ class LazyCursorSource:
         return self._cursor > 0 and self._consumed[self._cursor - 1] >= v
 
     def _advance_to(self, v: DeweyTuple) -> None:
-        c = self._cursor
+        start = c = self._cursor
         while True:
-            while c < len(self._consumed) and self._consumed[c] < v:
-                c += 1
-                self.counters.cursor_advances += 1
+            c = bisect_left(self._consumed, v, c)
             if c < len(self._consumed) or not self._pull():
                 break
+        self.counters.cursor_advances += c - start
         self._cursor = c
 
     def lm(self, v: DeweyTuple) -> Optional[DeweyTuple]:

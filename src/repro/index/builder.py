@@ -32,7 +32,12 @@ from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 from repro.storage.records import block_key, pack_tagged_block, posting_key
-from repro.xmltree.codec import DeweyCodec, PackedDeweyCodec, VarintDeweyCodec
+from repro.xmltree.codec import (
+    DeweyCodec,
+    KeyLayout,
+    PackedDeweyCodec,
+    VarintDeweyCodec,
+)
 from repro.xmltree.dewey import DeweyTuple
 from repro.xmltree.level_table import LevelTable
 from repro.xmltree.serialize import serialize
@@ -64,6 +69,16 @@ def make_codec(name: str, level_table: LevelTable) -> DeweyCodec:
     raise IndexFormatError(f"unknown Dewey codec {name!r}; expected one of {CODECS}")
 
 
+def key_layout(codec: str, level_table: LevelTable) -> Optional[KeyLayout]:
+    """The integer-key layout the posting segments use, or ``None`` when
+    the index cannot have segments: the ``varint`` codec has no fixed-width
+    form, and a level table wider than 64 bits overflows the key.  Such
+    indexes are served by the B+tree tier."""
+    if codec != "packed" or level_table.max_dewey_bits > KeyLayout.MAX_BITS:
+        return None
+    return KeyLayout(level_table)
+
+
 @dataclass
 class IndexBuildReport:
     """Summary statistics returned by :func:`build_index`."""
@@ -90,7 +105,6 @@ def build_index(
     keep_document: bool = True,
     scan_block_budget: Optional[int] = None,
     segments: bool = True,
-    segment_block_entries: Optional[int] = None,
 ) -> IndexBuildReport:
     """Build a complete XKSearch index directory.
 
@@ -104,6 +118,7 @@ def build_index(
     packed posting-segment sidecar (:mod:`repro.index.segments`) — the
     zero-copy fast path for ``lm``/``rm``/``scan`` — stamped with the
     directory's current generation; the B+trees remain ground truth.
+    Indexes without an integer-key layout (:func:`key_layout`) get none.
     """
     index_dir = os.fspath(index_dir)
     os.makedirs(index_dir, exist_ok=True)
@@ -131,15 +146,25 @@ def build_index(
 
     dewey_codec = make_codec(codec, level_table)
     frequency = FrequencyTable.from_lists(tagged)
+    # Every structure below stores the same encodings (order-preserving,
+    # so sortedness is checked on them): encode each posting once.
+    encoded: Dict[str, List[Tuple[bytes, int]]] = {}
+    for keyword in sorted(tagged, key=lambda kw: kw.encode("utf-8")):
+        plist = [(dewey_codec.encode(dewey), tag_id) for dewey, tag_id in tagged[keyword]]
+        if any(plist[i][0] >= plist[i + 1][0] for i in range(len(plist) - 1)):
+            raise IndexFormatError(
+                f"keyword list for {keyword!r} is not strictly sorted"
+            )
+        encoded[keyword] = plist
 
     index_path = os.path.join(index_dir, INDEX_FILE_NAME)
     with Pager(index_path, page_size=page_size, create=True) as pager:
         pool = BufferPool(pager, capacity=4096)
         il_tree = BPlusTree(pool, "il")
-        postings = il_tree.bulk_load(_iter_posting_entries(tagged, dewey_codec))
+        postings = il_tree.bulk_load(_iter_posting_entries(encoded))
         scan_tree = BPlusTree(pool, "scan")
         budget = scan_block_budget or _default_block_budget(page_size)
-        scan_tree.bulk_load(_iter_block_entries(tagged, dewey_codec, budget))
+        scan_tree.bulk_load(_iter_block_entries(encoded, budget))
         report = IndexBuildReport(
             keywords=len(frequency),
             postings=postings,
@@ -165,33 +190,26 @@ def build_index(
         "postings": report.postings,
         "has_document": document_text is not None,
     }
-    if segments:
-        # Imported lazily — repro.xksearch imports this module at package
-        # init, so a top-level import would be circular.
-        from repro.index.segments import (
-            DEFAULT_BLOCK_ENTRIES,
-            segments_path,
-            write_segments,
-        )
+    # Imported lazily — repro.xksearch imports this module at package
+    # init, so a top-level import would be circular.
+    from repro.index.segments import segments_path, write_index_segments
+
+    layout = key_layout(codec, level_table) if segments else None
+    if layout is not None:
         from repro.xksearch.cache import seed_generation
 
         generation = seed_generation(index_dir, 0)
-        block_entries = segment_block_entries or DEFAULT_BLOCK_ENTRIES
-        write_segments(
-            segments_path(index_dir),
-            (
-                (keyword, [dewey for dewey, _ in tagged[keyword]])
-                for keyword in sorted(tagged, key=lambda kw: kw.encode("utf-8"))
-            ),
-            generation,
-            block_entries=block_entries,
-        )
         manifest["generation"] = generation
-        manifest["segments"] = {
-            "version": 1,
-            "generation": generation,
-            "block_entries": block_entries,
-        }
+        manifest["segments"] = write_index_segments(
+            index_dir,
+            ((kw, (enc for enc, _ in plist)) for kw, plist in encoded.items()),
+            generation,
+            layout,
+        )
+    elif os.path.exists(segments_path(index_dir)):
+        # A rebuild into a directory that had segments must not leave a
+        # file behind that could pass for this index's.
+        os.remove(segments_path(index_dir))
     with open(os.path.join(index_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
     if document_text is not None:
@@ -215,31 +233,24 @@ def _default_block_budget(page_size: int) -> int:
 
 
 def _iter_posting_entries(
-    tagged: Mapping[str, Sequence[Tuple[DeweyTuple, int]]],
-    codec: DeweyCodec,
+    encoded: Mapping[str, Sequence[Tuple[bytes, int]]],
 ) -> Iterator[Tuple[bytes, bytes]]:
-    for keyword in sorted(tagged, key=lambda kw: kw.encode("utf-8")):
-        previous: Optional[DeweyTuple] = None
-        for dewey, tag_id in tagged[keyword]:
-            if previous is not None and dewey <= previous:
-                raise IndexFormatError(
-                    f"keyword list for {keyword!r} is not strictly sorted"
-                )
-            previous = dewey
-            yield posting_key(keyword, codec.encode(dewey)), tag_id.to_bytes(2, "big")
+    """IL-tree entries from ``keyword -> [(dewey encoding, tag id)]``
+    (keywords already in key order)."""
+    for keyword, plist in encoded.items():
+        for dewey_bytes, tag_id in plist:
+            yield posting_key(keyword, dewey_bytes), tag_id.to_bytes(2, "big")
 
 
 def _iter_block_entries(
-    tagged: Mapping[str, Sequence[Tuple[DeweyTuple, int]]],
-    codec: DeweyCodec,
+    encoded_lists: Mapping[str, Sequence[Tuple[bytes, int]]],
     budget: int,
 ) -> Iterator[Tuple[bytes, bytes]]:
-    for keyword in sorted(tagged, key=lambda kw: kw.encode("utf-8")):
+    for keyword, plist in encoded_lists.items():
         seq = 0
         block: List[Tuple[bytes, int]] = []
         block_bytes = 0
-        for dewey, tag_id in tagged[keyword]:
-            encoded = codec.encode(dewey)
+        for encoded, tag_id in plist:
             entry_bytes = len(encoded) + 3  # length prefix + 2 tag bytes
             if block and block_bytes + entry_bytes > budget:
                 yield block_key(keyword, seq), pack_tagged_block(block)
@@ -250,6 +261,18 @@ def _iter_block_entries(
             block_bytes += entry_bytes
         if block:
             yield block_key(keyword, seq), pack_tagged_block(block)
+
+
+def load_level_table(index_dir: Union[str, os.PathLike]) -> LevelTable:
+    """Read an index directory's level table."""
+    path = os.path.join(os.fspath(index_dir), LEVEL_TABLE_NAME)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return LevelTable.from_json(fh.read())
+    except FileNotFoundError:
+        from repro.errors import IndexNotFoundError
+
+        raise IndexNotFoundError(f"missing level table at {path}") from None
 
 
 def load_manifest(index_dir: Union[str, os.PathLike]) -> Dict:

@@ -11,10 +11,10 @@ primitives over the B+trees:
   packed blocks (sequential leaf I/O);
 * a **segment fast path** — when the packed posting segments
   (:mod:`repro.index.segments`) are present and current, ``lm``/``rm``
-  are answered by skip-table bisect + in-block galloping over the
-  mmap'd segment file and ``scan`` streams decoded blocks, skipping the
-  B+trees entirely; a generation mismatch (an updater ran) falls back
-  to the trees with byte-identical results;
+  are one bisect over a keyword's sorted integer keys in the mmap'd
+  segment file and ``scan`` walks the same keys, skipping the B+trees
+  entirely; a generation mismatch (an updater ran) falls back to the
+  trees with byte-identical results;
 * cache-temperature control — ``make_cold()`` empties the buffer pool so
   the next query pays physical reads; by default the B+trees' internal
   pages are pinned, realizing the "non-leaf nodes are cached" assumption of
@@ -48,14 +48,18 @@ from repro.index.builder import (
     DOCUMENT_NAME,
     FREQUENCY_NAME,
     INDEX_FILE_NAME,
-    LEVEL_TABLE_NAME,
     MANIFEST_NAME,
     TAGS_NAME,
+    load_level_table,
     load_manifest,
     make_codec,
 )
 from repro.index.frequency import FrequencyTable
-from repro.index.segments import PackedListSource, SegmentReader, segments_path
+from repro.index.segments import (
+    PackedListSource,
+    SegmentReader,
+    open_index_segments,
+)
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry, instrumentation_enabled
 from repro.storage.bptree import BPlusTree
@@ -63,7 +67,6 @@ from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 from repro.storage.records import keyword_range, posting_key, unpack_tagged_block
 from repro.xmltree.dewey import DeweyTuple
-from repro.xmltree.level_table import LevelTable
 
 _log = get_logger("index")
 
@@ -141,9 +144,10 @@ class DiskKeywordIndex:
     ``use_segments`` (default on) reads ``lm``/``rm``/``scan`` through
     the packed posting segments (:mod:`repro.index.segments`) whenever
     the segment file exists and its generation matches the live one;
-    otherwise — no file, a stale file after an updater bump, or
-    ``use_segments=False`` — every read transparently falls back to the
-    B+trees with byte-identical results.  ``xks_segment_sources_total{tier}``
+    otherwise — no file (``varint`` codec, or a level table wider than 64
+    bits), a file of an older format, a stale file after an updater bump,
+    or ``use_segments=False`` — every read transparently falls back to
+    the B+trees with byte-identical results.  ``xks_segment_sources_total{tier}``
     counts which tier served each source.
     """
 
@@ -170,11 +174,7 @@ class DiskKeywordIndex:
         self._seen_generation = seed_generation(
             self.index_dir, self.manifest.get("generation", 0)
         )
-        level_path = os.path.join(self.index_dir, LEVEL_TABLE_NAME)
-        if not os.path.exists(level_path):
-            raise IndexNotFoundError(f"missing level table at {level_path}")
-        with open(level_path, "r", encoding="utf-8") as fh:
-            self.level_table = LevelTable.from_json(fh.read())
+        self.level_table = load_level_table(self.index_dir)
         self.codec = make_codec(self.manifest["codec"], self.level_table)
         self._load_metadata()
         index_file = os.path.join(self.index_dir, INDEX_FILE_NAME)
@@ -190,7 +190,7 @@ class DiskKeywordIndex:
         self._open_trees()
         self.use_segments = use_segments
         self._segments: Optional[SegmentReader] = None
-        self._posting_cache = None
+        self._segments_warned = False
         self._open_segments()
 
     def _load_metadata(self) -> None:
@@ -227,26 +227,18 @@ class DiskKeywordIndex:
             self._segments = None
         if not self.use_segments:
             return
-        path = segments_path(self.index_dir)
-        if not os.path.exists(path):
-            return
         try:
-            self._segments = SegmentReader(
-                path,
-                posting_cache=self._posting_cache,
-                verify_checksums=self.verify_checksums,
+            self._segments = open_index_segments(
+                self.index_dir, self.verify_checksums
             )
         except (OSError, IndexFormatError) as exc:
-            _log.warning(
-                "segments_unavailable", index_dir=self.index_dir, error=repr(exc)
-            )
-
-    def attach_posting_cache(self, cache) -> None:
-        """Attach a cross-process :class:`~repro.xksearch.shared_cache.PostingBlockCache`
-        for decoded segment blocks (create it before forking workers)."""
-        self._posting_cache = cache
-        if self._segments is not None:
-            self._segments.posting_cache = cache
+            # E.g. a file of an older format: ignored here, rewritten by
+            # the next commit.  Logged once per handle, not per refresh.
+            if not self._segments_warned:
+                self._segments_warned = True
+                _log.warning(
+                    "segments_unavailable", index_dir=self.index_dir, error=repr(exc)
+                )
 
     def segments_active(self) -> bool:
         """Whether reads are currently served from the packed segments.
@@ -361,9 +353,8 @@ class DiskKeywordIndex:
     def scan(self, keyword: str) -> Iterator[DeweyTuple]:
         """All Dewey numbers of *keyword*, in document order.
 
-        Streams from the packed segments when they are current (decoded
-        blocks come through the posting caches), else from the block
-        (scan) tree — identical output either way.
+        Walks the packed segments' keys when they are current, else the
+        block (scan) tree — identical output either way.
         """
         kw = keyword.lower()
         segments = self._segments
@@ -371,7 +362,10 @@ class DiskKeywordIndex:
             self._note_tier("segment")
             return segments.scan(kw)
         self._note_tier("bptree")
-        return (dewey for dewey, _ in self.scan_tagged(kw))
+        return self._scan_bptree(kw)
+
+    def _scan_bptree(self, keyword: str) -> Iterator[DeweyTuple]:
+        return (dewey for dewey, _ in self.scan_tagged(keyword))
 
     def scan_tagged(self, keyword: str) -> Iterator[Tuple[DeweyTuple, str]]:
         """(Dewey, context tag) pairs of *keyword*, in document order."""
@@ -410,43 +404,34 @@ class DiskKeywordIndex:
     ) -> List:
         """Match sources for a query, one per keyword.
 
-        ``mode="indexed"`` returns point-lookup sources (IL): packed
-        segment sources when the segments are current
-        (:class:`~repro.index.segments.PackedListSource`), else B+tree
-        sources — byte-identical answers either way.  ``"scan"`` returns
-        lazy cursor sources over sequential reads (Scan Eager); the
-        stream underneath comes from whichever tier :meth:`scan` picks.
-        For IL, the *head* list (first keyword) is also read through the
-        scan path — IL only ever iterates ``S1``, never probes it — so
-        mixed mode is handled by the engine, not here.
+        ``mode="indexed"`` returns point-lookup sources (IL), ``"scan"``
+        forward-cursor sources (Scan Eager).  While the segments are
+        current both are :class:`~repro.index.segments.PackedListSource`
+        over the keyword's keys; otherwise B+tree sources — descents for
+        IL, lazy cursors over sequential block reads for Scan Eager —
+        with byte-identical answers either way.
         """
+        if mode not in ("indexed", "scan"):
+            raise ValueError(f"unknown source mode {mode!r}")
         counters = counters if counters is not None else OpCounters()
-        segments = (
-            self._segments
-            if mode == "indexed" and self._segments is not None and self.segments_active()
-            else None
-        )
+        segments = self._segments if self.segments_active() else None
         sources: List = []
         segment_count = 0
-        bptree_count = 0
         for keyword in keywords:
             kw = keyword.lower()
-            if mode == "indexed":
-                if segments is not None and kw in segments:
-                    sources.append(PackedListSource(segments, kw, counters))
-                    segment_count += 1
-                else:
-                    sources.append(DiskIndexedSource(self, kw, counters))
-                    bptree_count += 1
-            elif mode == "scan":
-                # scan() notes its own tier choice per keyword.
+            if segments is not None and kw in segments:
                 sources.append(
-                    LazyCursorSource(self.scan(kw), self.frequency(kw), counters)
+                    PackedListSource(segments, kw, counters, cursor=mode == "scan")
                 )
+                segment_count += 1
+            elif mode == "indexed":
+                sources.append(DiskIndexedSource(self, kw, counters))
             else:
-                raise ValueError(f"unknown source mode {mode!r}")
+                sources.append(
+                    LazyCursorSource(self._scan_bptree(kw), self.frequency(kw), counters)
+                )
         self._note_tier("segment", segment_count)
-        self._note_tier("bptree", bptree_count)
+        self._note_tier("bptree", len(sources) - segment_count)
         return sources
 
     # -- cache temperature ---------------------------------------------------------
@@ -483,11 +468,6 @@ class DiskKeywordIndex:
             "posting_tier": self.posting_tier(),
             "segments": (
                 self._segments.stats_dict() if self._segments is not None else None
-            ),
-            "posting_cache": (
-                self._posting_cache.stats_dict()
-                if self._posting_cache is not None
-                else None
             ),
         }
 

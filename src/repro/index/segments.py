@@ -1,21 +1,19 @@
-"""Packed posting segments: zero-copy compressed keyword lists.
+"""Packed posting segments: keyword lists as sorted integer Dewey keys.
 
 The B+trees are the index's ground truth, but answering ``lm``/``rm``
-through them costs a tree descent per probe and ``scan`` pays per-entry
-leaf iteration.  This module adds a read-optimized sidecar — one
-immutable **segment file** (``segments.dat``) per index directory — that
-the hot path reads instead whenever it is current:
+through them costs a tree descent per probe.  This module adds a
+read-optimized sidecar — one immutable **segment file**
+(``segments.dat``) per index directory — that the hot path reads instead
+whenever it is current:
 
-* each keyword's Dewey ids are **delta + varint encoded** into
-  self-contained blocks of at most ``block_entries`` ids: the first id of
-  a block is stored in full, every later id as (common-prefix length,
-  suffix length, suffix components), each number a 7-bit LEB128 varint;
-* a per-keyword **skip table** records every block's first id, byte span
-  and entry count, so a probe bisects the skip table, decodes (at most)
-  one block, and gallops inside it;
-* the file is opened **zero-copy via mmap** (the readonly discipline of
-  :func:`repro.storage.pager.open_readonly_mmap`): parent threads and
-  forked pool workers share one physical copy in the OS page cache;
+* each keyword's list is one contiguous, sorted array of fixed-width
+  **integer keys** (:class:`~repro.xmltree.codec.KeyLayout`: the paper's
+  level-table-packed Dewey number, left-aligned in 32 or 64 bits), so
+  integer order is document order and nothing is ever decoded to probe;
+* the file is opened **zero-copy via mmap** and each list is exposed as a
+  typed ``memoryview``: ``lm``/``rm`` are one C-level ``bisect`` over it,
+  and parent threads and forked pool workers share one physical copy in
+  the OS page cache;
 * the header carries the index **generation** the segments were built
   from.  Readers use segments only while that matches the live
   generation (:mod:`repro.xksearch.cache`); after an
@@ -23,52 +21,53 @@ the hot path reads instead whenever it is current:
   B+trees transparently — results are byte-identical either way — until
   the updater's ``close()`` rebuilds the file.
 
-File layout (all integers big-endian)::
+File layout, version 3 (header and directory integers big-endian; keys
+and CRCs in the writer's native byte order, recorded in the flags)::
 
     header   magic "XKSG" | version u16 | flags u16 | generation u64
-             | dir_offset u64 | dir_count u32 | block_entries u32
-    segment  block_count u32 | skip_bytes u32
-             | skip entries: (rel_off u32 | count u32 | crc u32
-               | first_len u16 | first id as varint tuple) x block_count
-             | block data (rel_off is relative to its start)
-    ...      one segment per keyword, back to back
-    dir      (klen u16 | keyword utf-8 | seg_off u64 | count u32)
-             x dir_count, at dir_offset
+             | dir_offset u64 | dir_count u32 | key_bits u32
+    keys     every keyword's keys, back to back (u32 or u64 each)
+    crcs     one u32 per chunk of <= 128 keys, chunked per keyword,
+             in the same order as the keys
+    dir      (klen u16 | keyword utf-8 | count u32) x dir_count, at
+             dir_offset; a keyword's first key and first CRC follow from
+             the counts before it
 
-Version 2 added the per-block ``crc`` skip-table field — a 32-bit
-checksum of the block's encoded bytes, computed at write time; header
-flags bit 0 records the polynomial (:mod:`repro.robustness.checksum`).
-Version 1 files (no crc) are still readable, just unverifiable.  When a
-reader opened with ``verify_checksums`` sees a mismatch — or any reader
-hits a decode error — the whole file is **quarantined**: the reader
-raises :class:`~repro.errors.CorruptionError`, counts
+Flags bit 0 names the CRC polynomial (:mod:`repro.robustness.checksum`),
+bit 1 is set when the keys are little-endian.  An index whose level table
+needs more than 64 bits, or that uses the ``varint`` codec, has no key
+layout and therefore no segment file: the B+tree tier serves it.  Files
+of an older version are refused (``IndexFormatError``) — the caller logs
+it, serves from the B+trees, and the next commit rewrites the file.
+
+A reader opened with ``verify_checksums`` re-checksums a list's chunks on
+its first touch (a bisect reads across the whole list, so all of it must
+be trusted before the first probe).  On a mismatch the whole file is
+**quarantined**: the reader raises
+:class:`~repro.errors.CorruptionError`, counts
 ``xks_corruption_detected_total{tier="segment"}``, and flags itself so
 :meth:`~repro.index.inverted.DiskKeywordIndex.segments_active` routes
 every later query to the B+trees (the ground truth; answers are
 byte-identical).
 
-Decoded blocks are cached per process (a small LRU on the reader) and,
-when a :class:`~repro.xksearch.shared_cache.PostingBlockCache` is
-attached, across processes — hot keywords are decoded once per machine,
-not once per worker per query.
-
 :class:`PackedListSource` is the :class:`~repro.core.sources.MatchSource`
-over one keyword's segment; its ``lm``/``rm`` counter accounting is
-identical to the B+tree source's (one op per probe), so the paper's
-Table 1 cost profiles are preserved on the fast path.
+over one keyword's keys, in indexed (bisect) or cursor (Scan Eager)
+mode; its counter accounting is identical to the in-memory sources', so
+the paper's Table 1 cost profiles are preserved.  It also exposes the
+raw keys, which lets :func:`~repro.core.indexed_lookup.eager_slca` run
+its integer kernel without ever building a tuple per probe.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import time
-from bisect import bisect_right
-from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import sys
+from array import array
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.counters import OpCounters
-from repro.core.sources import gallop_leftmost_ge, gallop_rightmost_le
 from repro.errors import CorruptionError, IndexFormatError
 from repro.robustness import faultinject
 from repro.robustness.checksum import (
@@ -79,287 +78,182 @@ from repro.robustness.checksum import (
     count_corruption,
 )
 from repro.storage.pager import open_readonly_mmap
-from repro.xmltree.dewey import DeweyTuple, common_prefix_len
+from repro.xmltree.codec import KeyLayout
+from repro.xmltree.dewey import DeweyTuple
 
 SEGMENTS_NAME = "segments.dat"
+SEGMENTS_VERSION = 3
 
-#: Ids per block: large enough that skip tables stay tiny, small enough
-#: that a point probe never decodes more than ~one cache line of tuples.
-DEFAULT_BLOCK_ENTRIES = 128
+#: Keys per checksummed chunk.
+CHUNK_ENTRIES = 128
 
 _MAGIC = b"XKSG"
-_VERSION = 2
 _HEADER = struct.Struct(">4sHHQQII")
-_SKIP_ENTRY_V1 = struct.Struct(">IIH")
-_SKIP_ENTRY = struct.Struct(">IIIH")
 _DIR_ENTRY_HEAD = struct.Struct(">H")
-_DIR_ENTRY_TAIL = struct.Struct(">QI")
-
-
-# -- varint / delta codec -----------------------------------------------------
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    """Append *value* as a 7-bit little-endian-group (LEB128) varint."""
-    if value < 0:
-        raise IndexFormatError("varints encode non-negative integers only")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _read_varint(buf, pos: int) -> Tuple[int, int]:
-    """``(value, next_pos)`` of the varint at *pos*."""
-    result = 0
-    shift = 0
-    while True:
-        try:
-            byte = buf[pos]
-        except IndexError:
-            raise IndexFormatError("truncated varint in segment data") from None
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def encode_tuple(dewey: DeweyTuple) -> bytes:
-    """One Dewey id in full: varint component count, then components."""
-    out = bytearray()
-    _write_varint(out, len(dewey))
-    for component in dewey:
-        _write_varint(out, component)
-    return bytes(out)
-
-
-def decode_tuple(buf, pos: int = 0) -> Tuple[DeweyTuple, int]:
-    count, pos = _read_varint(buf, pos)
-    components = []
-    for _ in range(count):
-        component, pos = _read_varint(buf, pos)
-        components.append(component)
-    return tuple(components), pos
-
-
-def encode_block(entries: Sequence[DeweyTuple]) -> bytes:
-    """Delta-encode one block of ascending Dewey ids.
-
-    Every entry is (common-prefix-with-previous, suffix length, suffix
-    components); the first entry's previous is the empty tuple, so it is
-    stored in full and the block is self-contained.
-    """
-    out = bytearray()
-    previous: DeweyTuple = ()
-    for dewey in entries:
-        cpl = common_prefix_len(previous, dewey)
-        _write_varint(out, cpl)
-        _write_varint(out, len(dewey) - cpl)
-        for component in dewey[cpl:]:
-            _write_varint(out, component)
-        previous = dewey
-    return bytes(out)
-
-
-def decode_block(buf, start: int, end: int, count: int) -> Tuple[DeweyTuple, ...]:
-    """Decode *count* delta-encoded ids from ``buf[start:end]``."""
-    pos = start
-    previous: DeweyTuple = ()
-    out: List[DeweyTuple] = []
-    for _ in range(count):
-        cpl, pos = _read_varint(buf, pos)
-        suffix_len, pos = _read_varint(buf, pos)
-        components = list(previous[:cpl])
-        for _ in range(suffix_len):
-            component, pos = _read_varint(buf, pos)
-            components.append(component)
-        previous = tuple(components)
-        out.append(previous)
-    if pos != end:
-        raise IndexFormatError(
-            f"segment block decoded to {pos - start} bytes, expected {end - start}"
-        )
-    return tuple(out)
-
-
-# -- writer -------------------------------------------------------------------
+_DIR_ENTRY_TAIL = struct.Struct(">I")
+_FLAG_LITTLE_ENDIAN = 2
 
 
 def segments_path(index_dir: os.PathLike) -> str:
     return os.path.join(os.fspath(index_dir), SEGMENTS_NAME)
 
 
+def _chunk_count(entries: int) -> int:
+    return -(-entries // CHUNK_ENTRIES)
+
+
+# -- writer -------------------------------------------------------------------
+
+
 def write_segments(
     path: str,
-    keyword_lists: Iterable[Tuple[str, Sequence[DeweyTuple]]],
+    keyword_keys: Iterable[Tuple[str, Iterable[int]]],
     generation: int,
-    block_entries: int = DEFAULT_BLOCK_ENTRIES,
+    layout: KeyLayout,
 ) -> int:
     """Write a segment file; returns the number of keywords written.
 
-    ``keyword_lists`` yields ``(keyword, ascending Dewey ids)``; empty
-    lists are skipped.  The file is written to a temporary sibling and
-    atomically renamed into place, so live readers keep their mapping of
-    the old inode and the swap is crash-safe.
+    ``keyword_keys`` yields ``(keyword, ascending keys)``; empty lists are
+    skipped.  The file is written to a temporary sibling and atomically
+    renamed into place, so live readers keep their mapping of the old
+    inode and the swap is crash-safe.
     """
-    if block_entries < 1:
-        raise ValueError("block_entries must be at least 1")
     tmp_path = path + ".tmp"
-    directory: List[Tuple[bytes, int, int]] = []
+    chunk_bytes = CHUNK_ENTRIES * layout.bits // 8
+    crcs = array("I")
+    directory = bytearray()
+    dir_count = 0
     offset = _HEADER.size
     with open(tmp_path, "wb") as fh:
         fh.write(b"\x00" * _HEADER.size)
-        for keyword, nodes in keyword_lists:
-            nodes = list(nodes)
-            if not nodes:
+        for keyword, keys in keyword_keys:
+            data = array(layout.typecode, keys).tobytes()
+            if not data:
                 continue
-            skip = bytearray()
-            data_parts: List[bytes] = []
-            rel = 0
-            for start in range(0, len(nodes), block_entries):
-                chunk = nodes[start:start + block_entries]
-                data = encode_block(chunk)
-                first = encode_tuple(chunk[0])
-                skip += _SKIP_ENTRY.pack(rel, len(chunk), checksum(data), len(first))
-                skip += first
-                data_parts.append(data)
-                rel += len(data)
-            fh.write(struct.pack(">II", len(data_parts), len(skip)))
-            fh.write(skip)
-            for data in data_parts:
-                fh.write(data)
-            directory.append((keyword.encode("utf-8"), offset, len(nodes)))
-            offset += 8 + len(skip) + rel
-        for kw_bytes, seg_off, count in directory:
-            fh.write(_DIR_ENTRY_HEAD.pack(len(kw_bytes)))
-            fh.write(kw_bytes)
-            fh.write(_DIR_ENTRY_TAIL.pack(seg_off, count))
+            fh.write(data)
+            offset += len(data)
+            crcs.extend(
+                checksum(data[start:start + chunk_bytes])
+                for start in range(0, len(data), chunk_bytes)
+            )
+            kw_bytes = keyword.encode("utf-8")
+            directory += _DIR_ENTRY_HEAD.pack(len(kw_bytes)) + kw_bytes
+            directory += _DIR_ENTRY_TAIL.pack(len(data) * 8 // layout.bits)
+            dir_count += 1
+        fh.write(crcs.tobytes())
+        fh.write(directory)
+        flags = algorithm_flag(ALGORITHM)
+        if sys.byteorder == "little":
+            flags |= _FLAG_LITTLE_ENDIAN
         fh.seek(0)
         fh.write(
             _HEADER.pack(
-                _MAGIC, _VERSION, algorithm_flag(ALGORITHM), generation,
-                offset, len(directory), block_entries,
+                _MAGIC, SEGMENTS_VERSION, flags, generation,
+                offset + len(crcs) * crcs.itemsize, dir_count, layout.bits,
             )
         )
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp_path, path)
-    return len(directory)
+    return dir_count
+
+
+def write_index_segments(
+    index_dir: os.PathLike,
+    keyword_encodings: Iterable[Tuple[str, Iterable[bytes]]],
+    generation: int,
+    layout: KeyLayout,
+) -> dict:
+    """Write *index_dir*'s segment file from ``(keyword, packed-codec
+    encodings)`` — the bytes the B+trees already hold — and return the
+    manifest's ``"segments"`` entry describing what was written."""
+    key = layout.key_of_encoding
+    write_segments(
+        segments_path(index_dir),
+        ((keyword, map(key, encodings)) for keyword, encodings in keyword_encodings),
+        generation,
+        layout,
+    )
+    return {
+        "version": SEGMENTS_VERSION,
+        "generation": generation,
+        "key_bits": layout.bits,
+    }
+
+
+def stored_version(path: str) -> Optional[int]:
+    """The format version in a segment file's header (``None`` if unreadable)."""
+    try:
+        with open(path, "rb") as fh:
+            magic, version = struct.unpack(">4sH", fh.read(6))
+    except (OSError, struct.error):
+        return None
+    return version if magic == _MAGIC else None
 
 
 # -- reader -------------------------------------------------------------------
 
 
-class _SkipTable:
-    """One keyword's decoded skip table: block bounds, first ids, crcs."""
-
-    __slots__ = ("first_ids", "starts", "ends", "counts", "crcs")
-
-    def __init__(
-        self,
-        first_ids: List[DeweyTuple],
-        starts: List[int],
-        ends: List[int],
-        counts: List[int],
-        crcs: List[Optional[int]],
-    ):
-        self.first_ids = first_ids
-        self.starts = starts
-        self.ends = ends
-        self.counts = counts
-        self.crcs = crcs
-
-    def __len__(self) -> int:
-        return len(self.first_ids)
-
-
-class SegmentStats:
-    """Per-process reader effectiveness counters (the mmap is shared;
-    these are not — each process counts what it observed)."""
-
-    def __init__(self) -> None:
-        self.local_hits = 0
-        self.shared_hits = 0
-        self.decodes = 0
-        self.decode_ms = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "local_hits": self.local_hits,
-            "shared_hits": self.shared_hits,
-            "decodes": self.decodes,
-            "decode_ms": round(self.decode_ms, 3),
-        }
-
-
 class SegmentReader:
     """A segment file opened zero-copy for reading.
 
-    Thread-safe in the same sense as the rest of the read path: the mmap
-    is immutable, and the per-process block LRU / skip-table dict are
-    plain dict operations under the GIL (a lost cache insert under a
-    race costs a redundant decode, never a wrong answer).
+    Thread-safe in the same sense as the rest of the read path: the
+    mapping is immutable and every list is handed out as a read-only
+    ``memoryview`` slice of it.
     """
 
-    def __init__(
-        self,
-        path: str,
-        posting_cache=None,
-        local_cache_blocks: int = 256,
-        verify_checksums: bool = False,
-    ):
+    def __init__(self, path: str, layout: KeyLayout, verify_checksums: bool = False):
         self.path = path
-        self._map = open_readonly_mmap(path)
+        self.layout = layout
+        view = memoryview(open_readonly_mmap(path))
         try:
-            magic, version, flags, generation, dir_offset, dir_count, block_entries = (
-                _HEADER.unpack_from(self._map, 0)
+            magic, version, flags, generation, dir_offset, dir_count, key_bits = (
+                _HEADER.unpack_from(view, 0)
             )
         except struct.error:
-            self._map.close()
             raise IndexFormatError(f"segment file {path} is truncated") from None
         if magic != _MAGIC:
-            self._map.close()
             raise IndexFormatError(f"segment file {path} has bad magic {magic!r}")
-        if version not in (1, _VERSION):
-            self._map.close()
+        if version != SEGMENTS_VERSION:
             raise IndexFormatError(
-                f"segment format version {version} is not supported"
+                f"segment format version {version} is obsolete "
+                f"(this build reads version {SEGMENTS_VERSION} only)"
+            )
+        if key_bits != layout.bits or bool(flags & _FLAG_LITTLE_ENDIAN) != (
+            sys.byteorder == "little"
+        ):
+            raise IndexFormatError(
+                f"segment file {path} holds {key_bits}-bit keys in a layout "
+                "this index/machine cannot map"
             )
         self.version = version
-        self.checksum_algorithm = (
-            algorithm_from_flag(flags & 1) if version >= 2 else None
-        )
-        # v1 files carry no checksums, so there is nothing to verify.
-        self.verify_checksums = verify_checksums and version >= 2
-        self.quarantined = False
         self.generation = generation
-        self.block_entries = block_entries
-        self.posting_cache = posting_cache
-        self.stats = SegmentStats()
-        self._directory: Dict[str, Tuple[int, int]] = {}
-        self._skip_tables: Dict[str, _SkipTable] = {}
-        self._local: "OrderedDict[Tuple[str, int], Tuple[DeweyTuple, ...]]" = (
-            OrderedDict()
-        )
-        self._local_cap = max(1, local_cache_blocks)
+        self.checksum_algorithm = algorithm_from_flag(flags & 1)
+        self.verify_checksums = verify_checksums
+        self.quarantined = False
+        #: keyword -> (first key index, key count, first chunk index)
+        self._directory: Dict[str, Tuple[int, int, int]] = {}
+        self._verified = set()
         pos = dir_offset
+        first_key = first_chunk = 0
         try:
             for _ in range(dir_count):
-                (klen,) = _DIR_ENTRY_HEAD.unpack_from(self._map, pos)
+                (klen,) = _DIR_ENTRY_HEAD.unpack_from(view, pos)
                 pos += _DIR_ENTRY_HEAD.size
-                keyword = bytes(self._map[pos:pos + klen]).decode("utf-8")
+                keyword = bytes(view[pos:pos + klen]).decode("utf-8")
                 pos += klen
-                seg_off, count = _DIR_ENTRY_TAIL.unpack_from(self._map, pos)
+                (count,) = _DIR_ENTRY_TAIL.unpack_from(view, pos)
                 pos += _DIR_ENTRY_TAIL.size
-                self._directory[keyword] = (seg_off, count)
-        except (struct.error, IndexError, UnicodeDecodeError):
-            self._map.close()
+                self._directory[keyword] = (first_key, count, first_chunk)
+                first_key += count
+                first_chunk += _chunk_count(count)
+        except (struct.error, UnicodeDecodeError):
             raise IndexFormatError(f"segment directory of {path} is corrupt") from None
+        crc_offset = _HEADER.size + first_key * key_bits // 8
+        if crc_offset + 4 * first_chunk != dir_offset or pos > len(view):
+            raise IndexFormatError(f"segment directory of {path} is corrupt")
+        self._keys = view[_HEADER.size:crc_offset].cast(layout.typecode)
+        self._crcs = view[crc_offset:dir_offset].cast("I")
 
     # -- catalogue -----------------------------------------------------------
 
@@ -373,149 +267,91 @@ class SegmentReader:
     def keywords(self) -> List[str]:
         return sorted(self._directory)
 
-    # -- block access --------------------------------------------------------
+    def byte_offset(self, keyword: str) -> int:
+        """File offset of *keyword*'s first key (for corruption drills)."""
+        return _HEADER.size + self._directory[keyword][0] * self.layout.bits // 8
 
-    def skip_table(self, keyword: str) -> _SkipTable:
-        table = self._skip_tables.get(keyword)
-        if table is not None:
-            return table
+    # -- list access ---------------------------------------------------------
+
+    def keys(self, keyword: str) -> memoryview:
+        """One keyword's sorted keys, zero-copy.
+
+        Under ``verify_checksums`` the list's chunks are re-checksummed
+        the first time it is touched; the ``delay-io`` and
+        ``corrupt-block`` fault points fire here.
+        """
         try:
-            seg_off, _count = self._directory[keyword]
+            first, count, _ = self._directory[keyword]
         except KeyError:
             raise KeyError(f"keyword {keyword!r} has no segment") from None
-        block_count, skip_bytes = struct.unpack_from(">II", self._map, seg_off)
-        data_base = seg_off + 8 + skip_bytes
-        pos = seg_off + 8
-        first_ids: List[DeweyTuple] = []
-        starts: List[int] = []
-        counts: List[int] = []
-        crcs: List[Optional[int]] = []
-        for _ in range(block_count):
-            if self.version >= 2:
-                rel_off, count, crc, first_len = _SKIP_ENTRY.unpack_from(
-                    self._map, pos
-                )
-                pos += _SKIP_ENTRY.size
-            else:
-                rel_off, count, first_len = _SKIP_ENTRY_V1.unpack_from(
-                    self._map, pos
-                )
-                pos += _SKIP_ENTRY_V1.size
-                crc = None
-            first, _ = decode_tuple(self._map, pos)
-            pos += first_len
-            first_ids.append(first)
-            starts.append(data_base + rel_off)
-            counts.append(count)
-            crcs.append(crc)
-        # Blocks are laid out contiguously, so each block ends where the
-        # next begins; the last ends where the next segment (or the
-        # directory) starts.
-        ends = starts[1:] + ([self._segment_end(seg_off)] if block_count else [])
-        table = _SkipTable(first_ids, starts, ends, counts, crcs)
-        self._skip_tables[keyword] = table
-        return table
-
-    def _segment_end(self, seg_off: int) -> int:
-        """First byte past the segment starting at *seg_off*."""
-        candidates = [
-            other_off for other_off, _ in self._directory.values() if other_off > seg_off
-        ]
-        if candidates:
-            return min(candidates)
-        (_, _, _, _, dir_offset, _, _) = _HEADER.unpack_from(self._map, 0)
-        return dir_offset
-
-    def block(self, keyword: str, index: int) -> Tuple[DeweyTuple, ...]:
-        """One decoded block, through the local then shared caches."""
-        key = (keyword, index)
-        local = self._local
-        nodes = local.get(key)
-        if nodes is not None:
-            local.move_to_end(key)
-            self.stats.local_hits += 1
-            return nodes
-        cache = self.posting_cache
-        if cache is not None:
-            hit, value = cache.lookup(("pblk",) + key, self.generation)
-            if hit:
-                self.stats.shared_hits += 1
-                self._local_put(key, value)
-                return value
-        table = self.skip_table(keyword)
-        start, end = table.starts[index], table.ends[index]
         faultinject.maybe_delay("delay-io")
-        # The zero-copy path decodes straight from the mmap; a copy is
-        # made only when a corruption fault rewrites the bytes.
-        buf, pos, limit = self._map, start, end
-        if faultinject.fire("corrupt-block") is not None:
-            buf = faultinject.corrupt_bytes(bytes(self._map[start:end]))
-            pos, limit = 0, len(buf)
-        if self.verify_checksums:
-            expected = table.crcs[index]
-            if expected is not None and (
-                checksum(buf[pos:limit], self.checksum_algorithm) != expected
-            ):
-                raise self._quarantine(keyword, index, "checksum mismatch")
-        started = time.perf_counter()
-        try:
-            nodes = decode_block(buf, pos, limit, table.counts[index])
-        except IndexFormatError as exc:
-            raise self._quarantine(keyword, index, str(exc)) from exc
-        cost_ms = (time.perf_counter() - started) * 1000
-        self.stats.decodes += 1
-        self.stats.decode_ms += cost_ms
-        if cache is not None:
-            cache.store(("pblk",) + key, self.generation, nodes, cost_ms)
-        self._local_put(key, nodes)
-        return nodes
+        injected = faultinject.fire("corrupt-block") is not None
+        if injected or (self.verify_checksums and keyword not in self._verified):
+            bad = self.corrupt_chunks(keyword, flip_first=injected)
+            if bad:
+                raise self._quarantine(keyword, bad[0])
+            self._verified.add(keyword)
+        return self._keys[first:first + count]
 
-    def _quarantine(self, keyword: str, index: int, reason: str) -> CorruptionError:
+    def corrupt_chunks(self, keyword: str, flip_first: bool = False) -> List[int]:
+        """Indexes of *keyword*'s chunks whose bytes fail their stored CRC.
+
+        ``flip_first`` checks a bit-flipped copy of the first chunk instead
+        of what the mapping holds (the ``corrupt-block`` fault).
+        """
+        first, count, first_chunk = self._directory[keyword]
+        data = self._keys[first:first + count].cast("B")
+        step = CHUNK_ENTRIES * self.layout.bits // 8
+        bad = []
+        for n in range(_chunk_count(count)):
+            chunk = data[n * step:(n + 1) * step]
+            if flip_first and n == 0:
+                chunk = faultinject.corrupt_bytes(bytes(chunk))
+            if checksum(chunk, self.checksum_algorithm) != self._crcs[first_chunk + n]:
+                bad.append(n)
+        return bad
+
+    def _quarantine(self, keyword: str, chunk: int) -> CorruptionError:
         """Flag the whole file unusable and build the error to raise.
 
-        One bad block condemns the file: the writer produced it in a
+        One bad chunk condemns the file: the writer produced it in a
         single pass, so damage is evidence about the medium, not the
-        block.  ``segments_active`` routes all later queries to the
+        chunk.  ``segments_active`` routes all later queries to the
         B+trees; the current query's engine retries against them too.
         """
         self.quarantined = True
         count_corruption("segment")
         return CorruptionError(
-            f"segment block {keyword!r}#{index} of {self.path}: {reason}",
+            f"segment block {keyword!r}#{chunk} of {self.path}: checksum mismatch",
             tier="segment",
         )
 
-    def _local_put(self, key, nodes) -> None:
-        local = self._local
-        local[key] = nodes
-        local.move_to_end(key)
-        while len(local) > self._local_cap:
-            local.popitem(last=False)
-
     def scan(self, keyword: str) -> Iterator[DeweyTuple]:
-        """All of a keyword's ids in ascending order (streaming decode)."""
-        table = self.skip_table(keyword)
-        for index in range(len(table)):
-            yield from self.block(keyword, index)
+        """All of a keyword's ids in ascending order, as Dewey tuples."""
+        return map(self.layout.unpack, self.keys(keyword))
 
     # -- observability -------------------------------------------------------
 
     def stats_dict(self) -> dict:
-        out = self.stats.as_dict()
-        out["keywords"] = len(self._directory)
-        out["generation"] = self.generation
-        out["block_entries"] = self.block_entries
-        out["local_cached_blocks"] = len(self._local)
-        out["shared_cache"] = self.posting_cache is not None
-        out["version"] = self.version
-        out["verify_checksums"] = self.verify_checksums
-        out["quarantined"] = self.quarantined
-        return out
+        return {
+            "keywords": len(self._directory),
+            "generation": self.generation,
+            "version": self.version,
+            "key_bits": self.layout.bits,
+            "verify_checksums": self.verify_checksums,
+            "quarantined": self.quarantined,
+        }
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self._map.close()
+        """Drop this reader's hold on the mapping.
+
+        ``mmap.close()`` raises ``BufferError`` while any query still
+        holds a view of a list, so the mapping is never closed by hand:
+        it is unmapped when the last view of it is released.
+        """
+        self._keys = self._crcs = None
 
     def __enter__(self) -> "SegmentReader":
         return self
@@ -524,24 +360,40 @@ class SegmentReader:
         self.close()
 
 
+def open_index_segments(
+    index_dir: os.PathLike, verify_checksums: bool = False
+) -> Optional[SegmentReader]:
+    """A reader over *index_dir*'s segment file, or ``None`` when the
+    index has none (no file, or no integer-key layout to read it with).
+    Raises :class:`~repro.errors.IndexFormatError` for an unreadable or
+    obsolete file."""
+    # Imported lazily: the builder imports this module to write segments.
+    from repro.index.builder import key_layout, load_level_table, load_manifest
+
+    layout = key_layout(load_manifest(index_dir)["codec"], load_level_table(index_dir))
+    path = segments_path(index_dir)
+    if layout is None or not os.path.exists(path):
+        return None
+    return SegmentReader(path, layout, verify_checksums)
+
+
 # -- match source -------------------------------------------------------------
 
 
 class PackedListSource:
     """The segment-backed :class:`~repro.core.sources.MatchSource`.
 
-    ``lm``/``rm`` bisect the skip table's first ids to the one candidate
-    block, then gallop inside the decoded block from the previous probe's
-    position — IL's probes into each list arrive in near-ascending order,
-    so the gallop usually settles in a couple of comparisons.  Two
-    structural shortcuts avoid decodes entirely: an ``rm`` that falls off
-    the end of a block answers with the next block's first id straight
-    from the skip table, and an ``rm`` below the whole list answers with
-    the first id of block 0.
+    Tuple in, tuple out: a probe is packed to a key, located with one
+    ``bisect`` over the mapped keys, and the hit unpacked.  With
+    ``cursor=True`` the bisect starts at a forward cursor and the source
+    counts ``cursor_advances`` / ``cursor_reseeks`` exactly as
+    :class:`~repro.core.sources.CursorListSource` does (Scan Eager);
+    otherwise it is IL's indexed source, one ``lm_op``/``rm_op`` per probe.
 
-    Counter accounting matches :class:`~repro.index.inverted.DiskIndexedSource`
-    exactly — one ``lm_op``/``rm_op`` per probe — so cost-model
-    comparisons against the paper remain valid on the fast path.
+    ``keys``, ``layout`` and ``cursor`` are public: a loop handed only
+    such sources can work on the keys directly (``eager_slca`` does).
+    A probe that does not fit the level table raises
+    :class:`~repro.errors.DeweyError`, as the B+tree source does.
     """
 
     def __init__(
@@ -549,49 +401,47 @@ class PackedListSource:
         reader: SegmentReader,
         keyword: str,
         counters: Optional[OpCounters] = None,
+        cursor: bool = False,
     ):
-        self._reader = reader
-        self._keyword = keyword
-        table = reader.skip_table(keyword)
-        self._first_ids = table.first_ids
-        self._nblocks = len(table)
-        self._length = reader.count(keyword)
-        self._hint_block = 0
-        self._hint_pos = 0
+        self.keys = reader.keys(keyword)
+        self.layout = reader.layout
+        self.cursor = cursor
+        self._position = 0
         self.counters = counters if counters is not None else OpCounters()
+
+    def _seek(self, key: int) -> int:
+        """Index of the smallest stored key ``>= key``."""
+        keys = self.keys
+        if not self.cursor:
+            return bisect_left(keys, key)
+        position = self._position
+        if position and keys[position - 1] >= key:
+            # The probe regressed behind the cursor: search the passed
+            # prefix without moving the cursor back.
+            self.counters.cursor_reseeks += 1
+            return bisect_left(keys, key, 0, position)
+        i = bisect_left(keys, key, position)
+        self.counters.cursor_advances += i - position
+        self._position = i
+        return i
 
     def lm(self, v: DeweyTuple) -> Optional[DeweyTuple]:
         self.counters.lm_ops += 1
-        block_index = bisect_right(self._first_ids, v) - 1
-        if block_index < 0:
-            return None
-        nodes = self._reader.block(self._keyword, block_index)
-        hint = self._hint_pos if block_index == self._hint_block else 0
-        i = gallop_rightmost_le(nodes, v, hint)
-        # i >= 0 always: the block's first id is <= v by skip-table choice.
-        self._hint_block, self._hint_pos = block_index, i
-        return nodes[i]
+        key = self.layout.pack(v)
+        i = self._seek(key)
+        keys = self.keys
+        if i < len(keys) and keys[i] == key:
+            return v
+        return self.layout.unpack(keys[i - 1]) if i else None
 
     def rm(self, v: DeweyTuple) -> Optional[DeweyTuple]:
         self.counters.rm_ops += 1
-        if not self._nblocks:
-            return None
-        block_index = bisect_right(self._first_ids, v) - 1
-        if block_index < 0:
-            return self._first_ids[0]
-        nodes = self._reader.block(self._keyword, block_index)
-        hint = self._hint_pos if block_index == self._hint_block else 0
-        i = gallop_leftmost_ge(nodes, v, hint)
-        if i < len(nodes):
-            self._hint_block, self._hint_pos = block_index, i
-            return nodes[i]
-        if block_index + 1 < self._nblocks:
-            self._hint_block, self._hint_pos = block_index + 1, 0
-            return self._first_ids[block_index + 1]
-        return None
+        i = self._seek(self.layout.pack(v))
+        keys = self.keys
+        return self.layout.unpack(keys[i]) if i < len(keys) else None
 
     def scan(self) -> Iterator[DeweyTuple]:
-        return self._reader.scan(self._keyword)
+        return map(self.layout.unpack, self.keys)
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.keys)

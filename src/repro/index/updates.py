@@ -43,6 +43,8 @@ from repro.index.builder import (
     MANIFEST_NAME,
     TAGS_NAME,
     _default_block_budget,
+    key_layout,
+    load_level_table,
     load_manifest,
     make_codec,
 )
@@ -59,7 +61,6 @@ from repro.storage.records import (
 )
 from repro.xksearch.cache import bump_generation, current_generation, seed_generation
 from repro.xmltree.dewey import DeweyTuple
-from repro.xmltree.level_table import LevelTable
 from repro.xmltree.tree import Node, TEXT_TAG
 
 #: A change set: keyword → postings, each (dewey, context tag).
@@ -82,9 +83,9 @@ class IndexUpdater:
     def __init__(self, index_dir: Union[str, os.PathLike]):
         self.index_dir = os.fspath(index_dir)
         self.manifest = load_manifest(self.index_dir)
-        with open(os.path.join(self.index_dir, "level_table.json"), encoding="utf-8") as fh:
-            self.level_table = LevelTable.from_json(fh.read())
+        self.level_table = load_level_table(self.index_dir)
         self.codec = make_codec(self.manifest["codec"], self.level_table)
+        self._key_layout = key_layout(self.manifest["codec"], self.level_table)
         self.frequency = FrequencyTable.load(os.path.join(self.index_dir, FREQUENCY_NAME))
         tags_path = os.path.join(self.index_dir, TAGS_NAME)
         if os.path.exists(tags_path):
@@ -265,28 +266,21 @@ class IndexUpdater:
         readers keep their mapping of the old (now stale-stamped) file
         and pick up the new one on their next generation-driven refresh.
         """
-        from repro.index.segments import segments_path, write_segments
+        from repro.index.segments import write_index_segments
 
-        spec = self.manifest.get("segments") or {}
-        block_entries = spec.get("block_entries") or None
-        decode = self.codec.decode
-
-        def lists():
-            for keyword in sorted(
-                self.frequency.keywords(), key=lambda kw: kw.encode("utf-8")
-            ):
-                yield keyword, [
-                    decode(encoded) for encoded, _ in self._il_postings(keyword)
-                ]
-
-        kwargs = {"block_entries": block_entries} if block_entries else {}
-        write_segments(segments_path(self.index_dir), lists(), generation, **kwargs)
-        spec = dict(spec)
-        spec.setdefault("version", 1)
-        spec["generation"] = generation
-        if block_entries:
-            spec["block_entries"] = block_entries
-        self.manifest["segments"] = spec
+        # The IL tree's key suffixes are the packed encodings the segment
+        # keys are made of: no Dewey number is decoded on the way.
+        self.manifest["segments"] = write_index_segments(
+            self.index_dir,
+            (
+                (keyword, (encoded for encoded, _ in self._il_postings(keyword)))
+                for keyword in sorted(
+                    self.frequency.keywords(), key=lambda kw: kw.encode("utf-8")
+                )
+            ),
+            generation,
+            self._key_layout,
+        )
 
     def close(self) -> None:
         """Persist metadata and release the index file."""
@@ -298,8 +292,9 @@ class IndexUpdater:
         self.manifest["keywords"] = len(self.frequency)
         self.manifest["postings"] = self.manifest.get("postings", 0) + self._postings_delta
         self.manifest["generation"] = current_generation(self.index_dir)
-        if "segments" in self.manifest or os.path.exists(
-            os.path.join(self.index_dir, "segments.dat")
+        if self._key_layout is not None and (
+            "segments" in self.manifest
+            or os.path.exists(os.path.join(self.index_dir, "segments.dat"))
         ):
             self._rebuild_segments(self.manifest["generation"])
         document_path = os.path.join(self.index_dir, DOCUMENT_NAME)

@@ -17,9 +17,10 @@ index should be rebuilt from the source document.
 
 ``fsck_index`` (``xksearch fsck``) runs all of the above **plus** the
 stored-checksum sweeps from docs/ROBUSTNESS.md: every B+tree page is
-re-checksummed against the pager's ``.crc`` sidecar and every packed
-posting block against its per-block CRC in the v2 segment skip tables —
-the offline counterpart of ``serve --verify-checksums``.
+re-checksummed against the pager's ``.crc`` sidecar and every chunk of
+every keyword's packed keys against the segment file's CRC table — the
+offline counterpart of ``serve --verify-checksums`` — and the segment
+file's format version is compared with the one the manifest records.
 """
 
 from __future__ import annotations
@@ -130,34 +131,37 @@ def _check_page_checksums(
 def _check_segment_checksums(
     index_dir: Union[str, os.PathLike], report: VerifyReport
 ) -> None:
-    """Re-decode every packed posting block under checksum verification."""
-    from repro.errors import CorruptionError
-    from repro.index.segments import SegmentReader, segments_path
+    """Re-checksum every chunk of the packed posting segments."""
+    from repro.index.segments import (
+        open_index_segments,
+        segments_path,
+        stored_version,
+    )
 
     path = segments_path(index_dir)
     if not os.path.exists(path):
         return  # segments are optional; nothing to sweep
+    recorded = (load_manifest(index_dir).get("segments") or {}).get("version")
+    on_disk = stored_version(path)
+    if recorded != on_disk:
+        report._fail(
+            f"manifest records segments version {recorded}, "
+            f"{path} is version {on_disk}"
+        )
     try:
-        reader = SegmentReader(path, verify_checksums=True)
+        reader = open_index_segments(index_dir)
     except ReproError as exc:
-        report._fail(f"segments open for checksum sweep: {exc}")
+        report._fail(f"segments open for checksum sweep: {exc} (rebuild to upgrade)")
+        return
+    if reader is None:
+        report._fail("segments file present but this index has no integer-key layout")
         return
     with reader:
-        if reader.version < 2:
-            report._fail(
-                f"segments file is v{reader.version} (no per-block "
-                "checksums); rebuild to upgrade"
-            )
-            return
         for keyword in reader.keywords():
-            try:
-                table = reader.skip_table(keyword)
-                for block_index in range(len(table)):
-                    reader.block(keyword, block_index)
-            except CorruptionError as exc:
-                report._fail(f"segment block for {keyword!r}: {exc}")
-            except ReproError as exc:
-                report._fail(f"segment list for {keyword!r} unreadable: {exc}")
+            for chunk in reader.corrupt_chunks(keyword):
+                report._fail(
+                    f"segment block {keyword!r}#{chunk}: checksum mismatch"
+                )
     report.checks += 1
 
 

@@ -122,7 +122,6 @@ def _worker_main(
     skew_threshold,
     shared_cache,
     use_segments=True,
-    posting_cache=None,
     profile_hz=0.0,
     verify_checksums=False,
 ):
@@ -131,8 +130,8 @@ def _worker_main(
     Runs in the forked child.  The index handle is private to this
     process (its own fd, its own mapping of the shared page cache — and,
     with segments, its own mapping of the shared segment file); the
-    ``shared_cache`` / ``posting_cache`` segments and their locks are the
-    parent's, inherited through fork.
+    ``shared_cache`` segment and its lock are the parent's, inherited
+    through fork.
     """
     # Imported here so the symbols resolve in the child without making
     # this module depend on the engine at import time (the engine is what
@@ -150,8 +149,6 @@ def _worker_main(
             use_segments=use_segments,
             verify_checksums=verify_checksums,
         )
-        if posting_cache is not None:
-            index.attach_posting_cache(posting_cache)
         engine = QueryEngine(
             index, skew_threshold=skew_threshold, shared_cache=shared_cache
         )
@@ -315,7 +312,6 @@ class WorkerPool:
         max_respawns: Optional[int] = None,
         respawn_reset_s: float = 60.0,
         use_segments: bool = True,
-        posting_cache=None,
         profile_hz: float = 0.0,
         verify_checksums: bool = False,
     ):
@@ -331,7 +327,6 @@ class WorkerPool:
         self.skew_threshold = skew_threshold
         self.shared_cache = shared_cache
         self.use_segments = use_segments
-        self.posting_cache = posting_cache
         self.profile_hz = float(profile_hz)
         self.verify_checksums = verify_checksums
         self.task_timeout_s = task_timeout_s
@@ -375,7 +370,6 @@ class WorkerPool:
                 self.skew_threshold,
                 self.shared_cache,
                 self.use_segments,
-                self.posting_cache,
                 self.profile_hz,
                 self.verify_checksums,
             ),

@@ -306,46 +306,6 @@ def system_collector(system: XKSearch):
                     "xks_segment_keywords", segments["keywords"],
                     help="Keywords with a packed posting segment.",
                 )
-                yield Sample(
-                    "xks_segment_blocks_decoded_total", segments["decodes"],
-                    kind="counter",
-                    help="Posting blocks decoded from the segment mmap "
-                    "(cache misses at both posting-cache layers).",
-                )
-                yield Sample(
-                    "xks_segment_block_hits_total", segments["local_hits"],
-                    {"layer": "local"}, kind="counter",
-                    help="Decoded-block cache hits by layer.",
-                )
-                yield Sample(
-                    "xks_segment_block_hits_total", segments["shared_hits"],
-                    {"layer": "shared"}, kind="counter",
-                )
-            posting_cache = storage.get("posting_cache")
-            if posting_cache is not None:
-                yield Sample(
-                    "xks_posting_cache_hits_total", posting_cache["hits"],
-                    kind="counter",
-                    help="Cross-process posting-block cache hits (this "
-                    "process's view).",
-                )
-                yield Sample(
-                    "xks_posting_cache_misses_total", posting_cache["misses"],
-                    kind="counter",
-                    help="Cross-process posting-block cache misses (this "
-                    "process's view).",
-                )
-                yield Sample(
-                    "xks_posting_cache_invalidations_total",
-                    posting_cache["invalidations"], kind="counter",
-                    help="Posting-block entries dropped on a generation "
-                    "mismatch.",
-                )
-                yield Sample(
-                    "xks_posting_cache_stores_total", posting_cache["stores"],
-                    kind="counter",
-                    help="Posting blocks admitted into the shared cache.",
-                )
         shared = system.engine.shared
         if shared is not None:
             stats = shared.stats
@@ -1231,9 +1191,9 @@ def serve(
 
     ``workers_proc > 0`` adds a pool of that many **worker processes**
     executing cache-miss queries over mmap'd read-only index handles, with
-    a cross-process shared result cache *and* a cross-process posting-block
-    cache under it (docs/PERFORMANCE.md, "Scaling past the GIL" and
-    "Posting segments").  The pool and caches are created *before* any
+    a cross-process shared result cache; every process maps the same
+    posting-segment file (docs/PERFORMANCE.md, "Scaling past the GIL" and
+    "Posting segments").  The pool and cache are created *before* any
     server thread starts — fork with live threads is unsafe — and a
     platform without ``fork`` simply serves in-thread (logged, never
     fatal).  ``use_segments=False`` pins every process to the B+tree
@@ -1254,8 +1214,9 @@ def serve(
 
     **Robustness** (docs/ROBUSTNESS.md): ``default_timeout_ms`` deadlines
     every search request that does not carry ``X-Deadline-Ms`` /
-    ``?timeout_ms=``; ``verify_checksums`` re-checksums every page and
-    posting block read, in this process *and* every pool worker;
+    ``?timeout_ms=``; ``verify_checksums`` re-checksums every page read
+    and every posting list on first touch, in this process *and* every
+    pool worker;
     ``admission_soft``/``admission_hard`` (defaults ``2*max_workers`` /
     ``4*max_workers``) and ``p99_watermark_ms`` set the shedding
     watermarks; ``inject_faults`` arms fault-injection specs (exported to
@@ -1336,23 +1297,19 @@ def serve(
             slo_engine.load_state(slo_state)
         slo_engine.start()
     shared_cache = None
-    posting_cache = None
     pool = None
     if workers_proc > 0:
         from repro.errors import PoolError
         from repro.xksearch.parallel import WorkerPool
-        from repro.xksearch.shared_cache import PostingBlockCache, SharedResultCache
+        from repro.xksearch.shared_cache import SharedResultCache
 
         shared_cache = SharedResultCache()
-        if use_segments:
-            posting_cache = PostingBlockCache()
         try:
             pool = WorkerPool(
                 index_dir,
                 workers=workers_proc,
                 shared_cache=shared_cache,
                 use_segments=use_segments,
-                posting_cache=posting_cache,
                 profile_hz=profile_hz,
                 verify_checksums=verify_checksums,
             )
@@ -1373,8 +1330,6 @@ def serve(
             use_segments=use_segments,
             verify_checksums=verify_checksums,
         ) as system:
-            if posting_cache is not None:
-                system.index.attach_posting_cache(posting_cache)
             if pool is not None:
                 system.engine.attach_pool(pool)
             if debug_latency_ms > 0:
@@ -1480,5 +1435,3 @@ def serve(
             pool.close()
         if shared_cache is not None:
             shared_cache.close()
-        if posting_cache is not None:
-            posting_cache.close()

@@ -118,14 +118,7 @@ class SharedResultCache:
     Values must be picklable and are treated as immutable (lookups return
     a fresh unpickled copy per call, so cross-process mutation cannot
     occur by construction).
-
-    Subclasses reuse the store for other payload kinds by overriding the
-    admission-metric identity (see :class:`PostingBlockCache`).
     """
-
-    ADMISSION_METRIC = "xks_cache_admission_total"
-    ADMISSION_HELP = "Shared-cache admission decisions (cost-aware policy)."
-    LOG_EVENT = "shared_cache_admission"
 
     def __init__(
         self,
@@ -272,13 +265,13 @@ class SharedResultCache:
         self.stats.admissions[decision] += 1
         if instrumentation_enabled():
             get_registry().counter(
-                self.ADMISSION_METRIC,
-                self.ADMISSION_HELP,
+                "xks_cache_admission_total",
+                "Shared-cache admission decisions (cost-aware policy).",
                 labelnames=("decision",),
             ).labels(decision=decision).inc()
         if decision != "admit" and _log.enabled_for("debug"):
             _log.debug(
-                self.LOG_EVENT,
+                "shared_cache_admission",
                 decision=decision,
                 exec_ms=round(exec_ms, 3),
             )
@@ -313,44 +306,3 @@ class SharedResultCache:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-#: Posting-block geometry: 512 slots x 16 KiB = 8 MiB of decoded blocks.
-#: A decoded 128-id block pickles to a few KiB; 16 KiB slots keep even
-#: deep-Dewey blocks admissible.
-POSTING_SLOT_COUNT = 512
-POSTING_SLOT_SIZE = 16384
-
-
-class PostingBlockCache(SharedResultCache):
-    """Cross-process cache of **decoded posting blocks** (the layer below
-    the result cache).
-
-    Same machinery as :class:`SharedResultCache` — anonymous shared
-    memory, frequency x recency admission (``decode cost x expected
-    reuse``), generation-stamped entries — but keyed by ``("pblk",
-    keyword, block index)`` and stamped with the *segment* generation
-    (:mod:`repro.index.segments`), so an :class:`~repro.index.updates.IndexUpdater`
-    bump instantly stales every process's view of the old blocks.  A
-    result-cache hit short-circuits above this layer; this one pays off
-    on cache-miss queries, where every pool worker would otherwise decode
-    the same hot blocks privately.  Admission decisions count toward
-    ``xks_posting_cache_admission_total{decision}``.
-    """
-
-    ADMISSION_METRIC = "xks_posting_cache_admission_total"
-    ADMISSION_HELP = "Posting-block cache admission decisions (cost-aware policy)."
-    LOG_EVENT = "posting_cache_admission"
-
-    def __init__(
-        self,
-        slot_count: int = POSTING_SLOT_COUNT,
-        slot_size: int = POSTING_SLOT_SIZE,
-        sketch_slots: int = DEFAULT_SKETCH_SLOTS,
-        lock: Optional[Any] = None,
-    ):
-        super().__init__(
-            slot_count=slot_count,
-            slot_size=slot_size,
-            sketch_slots=sketch_slots,
-            lock=lock,
-        )

@@ -18,11 +18,18 @@ Both satisfy, for all Dewey numbers ``a``, ``b``:
 ``encode(a) < encode(b)  iff  a < b`` (document order), and
 ``encode(a)`` is a prefix of ``encode(b)`` only if ``a`` is an
 ancestor-or-self of ``b``.
+
+:class:`KeyLayout` is the packed codec as a fixed-width **integer**: the
+same bits, left-aligned in a 32- or 64-bit key, so document order is
+integer order and the Dewey algebra (ancestor test, LCA) runs on machine
+words without decoding — what the posting segments store and the SLCA
+integer kernel computes on.
 """
 
 from __future__ import annotations
 
-from typing import List
+from itertools import islice
+from typing import List, Tuple
 
 from repro.errors import DeweyError
 from repro.xmltree.dewey import DeweyTuple
@@ -87,6 +94,96 @@ class PackedDeweyCodec(DeweyCodec):
             if remainder != 0:
                 raise DeweyError(f"corrupt packed Dewey encoding: {data.hex()}")
         return tuple(components)
+
+
+class KeyLayout:
+    """Level-table-packed Dewey numbers as fixed-width integer keys.
+
+    A key is the :class:`PackedDeweyCodec` bit string (each component
+    stored as ``ordinal + 1`` in its level's width, zero-padded tail)
+    left-aligned in ``bits`` = 32 or 64 bits::
+
+        level widths [3, 7, 5, ...], 32-bit key
+        bit 31..29   28..22   21..17   ...   low bits
+            comp 1 | comp 2 | comp 3 | ... | zero padding
+
+    Integer order is document order; an ancestor's key is its
+    descendants' key under ``masks[depth]``; and the LCA of two keys is
+    ``x & lca_masks[(x ^ y).bit_length()]`` — the highest differing bit
+    names the first component the two disagree on, and the mask keeps the
+    components above it.  Level tables wider than :data:`MAX_BITS` have
+    no layout.
+    """
+
+    MAX_BITS = 64
+
+    def __init__(self, table: LevelTable):
+        total = table.max_dewey_bits
+        if total > self.MAX_BITS:
+            raise DeweyError(
+                f"level table needs {total} bits; keys hold at most {self.MAX_BITS}"
+            )
+        self.bits = 32 if total <= 32 else 64
+        #: ``array`` / ``memoryview.cast`` type code of one key.
+        self.typecode = "I" if self.bits == 32 else "Q"
+        shifts = []
+        shift = self.bits
+        for width in table.widths:
+            shift -= width
+            shifts.append(shift)
+        #: (shift, largest stored value) per level, for pack/unpack loops.
+        self._fields = tuple((s, (1 << w) - 1) for s, w in zip(shifts, table.widths))
+        full = (1 << self.bits) - 1
+        #: ``masks[d]`` keeps the first ``d`` components below the root.
+        self.masks: Tuple[int, ...] = (0,) + tuple(full ^ ((1 << s) - 1) for s in shifts)
+        #: ``level_of_bit[n]``: the component holding bit ``n - 1``, i.e.
+        #: how many components two keys share when ``n`` is the bit length
+        #: of their xor (0 → identical keys → all of them).
+        level_of_bit = [len(shifts)] * (self.bits + 1)
+        for level, (s, w) in enumerate(zip(shifts, table.widths)):
+            for n in range(s + 1, s + w + 1):
+                level_of_bit[n] = level
+        self.level_of_bit: Tuple[int, ...] = tuple(level_of_bit)
+        self.lca_masks: Tuple[int, ...] = tuple(self.masks[l] for l in level_of_bit)
+
+    def pack(self, dewey: DeweyTuple) -> int:
+        """The key of *dewey*; :class:`DeweyError` if it does not fit."""
+        fields = self._fields
+        if len(dewey) - 1 > len(fields):
+            raise DeweyError(
+                f"Dewey {dewey!r} is deeper than the level table ({len(fields)} levels)"
+            )
+        key = 0
+        for component, (shift, limit) in zip(islice(dewey, 1, None), fields):
+            if component >= limit:
+                raise DeweyError(
+                    f"component {component} of {dewey!r} exceeds its level-table width"
+                )
+            key |= (component + 1) << shift
+        return key
+
+    def unpack(self, key: int) -> DeweyTuple:
+        components = [0]
+        for shift, limit in self._fields:
+            value = (key >> shift) & limit
+            if not value:
+                break
+            components.append(value - 1)
+        return tuple(components)
+
+    def key_of_encoding(self, data: bytes) -> int:
+        """The key of a :meth:`PackedDeweyCodec.encode` byte string."""
+        return int.from_bytes(data, "big") << (self.bits - 8 * len(data))
+
+    def depth(self, key: int) -> int:
+        """Number of components below the root (the lowest set bit's level)."""
+        return self.level_of_bit[(key & -key).bit_length()] + 1 if key else 0
+
+    def lca(self, x: int, y: int) -> int:
+        return x & self.lca_masks[(x ^ y).bit_length()]
+
+    def is_ancestor_or_self(self, a: int, b: int) -> bool:
+        return b & self.masks[self.depth(a)] == a
 
 
 _VARINT_SINGLE_MAX = 239

@@ -1,257 +1,354 @@
-"""Packed posting segments: codec, reader, oracle properties, invalidation.
+"""Packed posting segments (v3): writer/reader, source conformance, the
+integer SLCA kernel, tier selection and invalidation.
 
 The packed-segment tier must be indistinguishable from the B+tree tier in
-every answer it produces — these tests pin that down against the
-:class:`~repro.core.sources.SortedListSource` oracle (randomized and
-hypothesis-driven), through the full engine (segments on vs off across
-all three algorithms and all three semantics), across the generation
-protocol (an updater bump stales segments instantly; close rebuilds
-them), and through the cross-process posting-block cache.
+every answer it produces *and* in every operation it counts — these tests
+pin that down against the in-memory sources (randomized and
+hypothesis-driven, indexed and cursor mode, regressing probes included),
+against the brute-force oracle on random documents (integer kernel vs
+tuple loop; all-LCA / ELCA / Stack through the tuple protocol), through
+the full engine (segments on vs off across all three algorithms and all
+three semantics), and across the generation protocol (an updater bump
+stales segments instantly; close rebuilds them).
 """
 
+import json
 import multiprocessing
 import os
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.all_lca import find_all_lcas
+from repro.core.brute import all_lca_by_containment, slca_by_containment
 from repro.core.counters import OpCounters
-from repro.core.sources import SortedListSource, gallop_leftmost_ge, gallop_rightmost_le
-from repro.errors import IndexFormatError
+from repro.core.elca import elca_by_containment, stack_elca
+from repro.core.indexed_lookup import eager_slca
+from repro.core.sources import CursorListSource, SortedListSource
+from repro.core.stack import stack_slca
+from repro.errors import DeadlineExceeded, DeweyError, IndexFormatError
 from repro.index.builder import build_index
 from repro.index.inverted import DiskKeywordIndex
 from repro.index.segments import (
-    DEFAULT_BLOCK_ENTRIES,
+    CHUNK_ENTRIES,
     PackedListSource,
     SegmentReader,
-    decode_block,
-    decode_tuple,
-    encode_block,
-    encode_tuple,
+    open_index_segments,
     segments_path,
     write_segments,
 )
 from repro.index.updates import IndexUpdater
+from repro.robustness.deadline import Deadline, bind_deadline
 from repro.xksearch.cache import bump_generation, current_generation
-from repro.xksearch.shared_cache import PostingBlockCache
 from repro.xksearch.system import XKSearch
+from repro.xmltree.codec import KeyLayout
+from repro.xmltree.generate import random_labeled_tree
+from repro.xmltree.level_table import LevelTable
 
-# -- strategies ---------------------------------------------------------------
+from tests.conftest import dewey_st, keyword_list_st
 
-#: Dewey components stress the varint codec: multi-byte values at every
-#: LEB128 boundary, plus genuinely large ids.
-component_st = st.one_of(
-    st.integers(min_value=0, max_value=300),
-    st.sampled_from([127, 128, 16383, 16384, 2**21, 2**28, 2**40]),
-)
-
-#: Deep, shared-prefix-rich Dewey numbers (up to depth 12).
-deep_dewey_st = st.lists(
-    st.integers(min_value=0, max_value=2), min_size=0, max_size=11
-).map(lambda tail: (0, *tail))
-
-wide_dewey_st = st.lists(component_st, min_size=1, max_size=6).map(tuple)
+#: The level table of ``tests.conftest.dewey_st`` (four levels, ordinals
+#: 0..3) with room for an uncle probe at every level.
+SMALL_TABLE = LevelTable([4, 4, 4, 4])
 
 
-def sorted_list(deweys):
-    return sorted(set(deweys))
-
-
-# -- codec --------------------------------------------------------------------
-
-
-class TestCodec:
-    @given(dewey=wide_dewey_st)
-    @settings(max_examples=300, deadline=None)
-    def test_tuple_round_trip(self, dewey):
-        buf = encode_tuple(dewey)
-        decoded, pos = decode_tuple(buf)
-        assert decoded == dewey
-        assert pos == len(buf)
-
-    @given(deweys=st.lists(deep_dewey_st, min_size=1, max_size=40))
-    @settings(max_examples=300, deadline=None)
-    def test_block_round_trip_deep(self, deweys):
-        entries = sorted_list(deweys)
-        buf = encode_block(entries)
-        assert decode_block(buf, 0, len(buf), len(entries)) == tuple(entries)
-
-    @given(deweys=st.lists(wide_dewey_st, min_size=1, max_size=40))
-    @settings(max_examples=300, deadline=None)
-    def test_block_round_trip_wide(self, deweys):
-        entries = sorted_list(deweys)
-        buf = encode_block(entries)
-        assert decode_block(buf, 0, len(buf), len(entries)) == tuple(entries)
-
-    def test_block_round_trip_max_depth(self):
-        # A pathological chain: every entry extends the previous by one
-        # component, maximizing the prefix-sharing the delta codec exploits.
-        entries = [tuple(range(depth + 1)) for depth in range(64)]
-        buf = encode_block(entries)
-        assert decode_block(buf, 0, len(buf), len(entries)) == tuple(entries)
-        # The delta form must actually be smaller than re-encoding each
-        # tuple standalone, or the format is pointless.
-        standalone = sum(len(encode_tuple(e)) for e in entries)
-        assert len(buf) < standalone
-
-    def test_decode_rejects_trailing_garbage(self):
-        entries = [(0, 1), (0, 2)]
-        buf = encode_block(entries) + b"\x00"
-        with pytest.raises(IndexFormatError):
-            decode_block(buf, 0, len(buf), len(entries))
-
-
-class TestGallopHelpers:
-    @given(
-        values=st.lists(st.integers(0, 500), min_size=1, max_size=60),
-        probe=st.integers(-5, 505),
-        hint=st.integers(-3, 70),
+def write_lists(path, lists, table=SMALL_TABLE, generation=0):
+    """A segment file over ``{keyword: sorted Dewey tuples}``; returns its reader."""
+    layout = KeyLayout(table)
+    write_segments(
+        str(path),
+        ((kw, map(layout.pack, nodes)) for kw, nodes in lists.items()),
+        generation,
+        layout,
     )
-    @settings(max_examples=400, deadline=None)
-    def test_matches_bisect_oracle(self, values, probe, hint):
-        import bisect
-
-        nodes = sorted(set(values))
-        le = gallop_rightmost_le(nodes, probe, hint)
-        ge = gallop_leftmost_ge(nodes, probe, hint)
-        assert le == bisect.bisect_right(nodes, probe) - 1
-        assert ge == bisect.bisect_left(nodes, probe)
+    return SegmentReader(str(path), layout)
 
 
-# -- writer / reader ----------------------------------------------------------
+# -- writer / reader ------------------------------------------------------------
 
 
 class TestWriterReader:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
+        rng = random.Random(3)
         lists = {
-            "alpha": [(0,), (0, 1), (0, 1, 2), (0, 5)],
-            "beta": [(0, i) for i in range(500)],
+            "alpha": sorted({(0, rng.randrange(4), rng.randrange(4)) for _ in range(12)}),
+            "big": sorted(
+                {(0,) + tuple(rng.randrange(4) for _ in range(4)) for _ in range(400)}
+            ),
+            "one": [(0,)],
             "empty": [],
         }
-        wrote = write_segments(path, sorted(lists.items()), generation=7)
-        assert wrote == 2  # the empty list is skipped
-        with SegmentReader(path) as reader:
-            assert reader.generation == 7
-            assert reader.keywords() == ["alpha", "beta"]
-            assert "empty" not in reader
-            assert reader.count("beta") == 500
-            assert list(reader.scan("alpha")) == lists["alpha"]
-            assert list(reader.scan("beta")) == lists["beta"]
+        with write_lists(tmp_path / "seg", lists, generation=7) as reader:
+            assert reader.version == 3 and reader.generation == 7
+            assert reader.keywords() == ["alpha", "big", "one"]  # empty lists skipped
+            assert "empty" not in reader and reader.count("empty") == 0
+            for kw in reader.keywords():
+                assert reader.count(kw) == len(lists[kw])
+                assert list(reader.scan(kw)) == lists[kw]
+            assert len(lists["big"]) > CHUNK_ENTRIES  # more than one CRC chunk
+            assert all(reader.corrupt_chunks(kw) == [] for kw in reader.keywords())
+            with pytest.raises(KeyError):
+                reader.keys("empty")
 
-    def test_single_entry_blocks(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        nodes = [(0, i, i % 3) for i in range(17)]
-        write_segments(path, [("kw", nodes)], generation=1, block_entries=1)
-        with SegmentReader(path) as reader:
+    def test_keys_are_zero_copy_typed_views(self, tmp_path):
+        with write_lists(tmp_path / "seg", {"kw": [(0, 1), (0, 1, 2), (0, 3)]}) as reader:
+            keys = reader.keys("kw")
+            assert isinstance(keys, memoryview) and keys.readonly
+            assert keys.format == "I" and keys.itemsize == 4
+            assert list(keys) == sorted(keys)
+
+    def test_wide_table_uses_64_bit_keys(self, tmp_path):
+        table = LevelTable([200] * 6)  # 48 bits
+        nodes = [(0, 5), (0, 5, 199, 0), (0, 5, 200), (0, 199, 199, 199, 199, 199, 199)]
+        with write_lists(tmp_path / "seg", {"kw": nodes}, table=table) as reader:
+            assert reader.keys("kw").format == "Q"
             assert list(reader.scan("kw")) == nodes
-            table = reader.skip_table("kw")
-            assert len(table) == 17
-            assert table.first_ids == nodes
+            assert reader.stats_dict()["key_bits"] == 64
 
     def test_truncated_file_raises(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        write_segments(path, [("kw", [(0, 1)])], generation=1)
-        with open(path, "r+b") as fh:
+        write_lists(tmp_path / "seg", {"kw": [(0, 1)]}).close()
+        with open(tmp_path / "seg", "r+b") as fh:
             fh.truncate(10)
-        with pytest.raises(IndexFormatError):
-            SegmentReader(path)
+        with pytest.raises(IndexFormatError, match="truncated"):
+            SegmentReader(str(tmp_path / "seg"), KeyLayout(SMALL_TABLE))
 
     def test_bad_magic_raises(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        write_segments(path, [("kw", [(0, 1)])], generation=1)
-        with open(path, "r+b") as fh:
+        write_lists(tmp_path / "seg", {"kw": [(0, 1)]}).close()
+        with open(tmp_path / "seg", "r+b") as fh:
             fh.write(b"NOPE")
+        with pytest.raises(IndexFormatError, match="magic"):
+            SegmentReader(str(tmp_path / "seg"), KeyLayout(SMALL_TABLE))
+
+    def test_older_versions_are_refused(self, tmp_path):
+        write_lists(tmp_path / "seg", {"kw": [(0, 1)]}).close()
+        with open(tmp_path / "seg", "r+b") as fh:
+            fh.seek(4)
+            fh.write(struct.pack(">H", 2))
+        with pytest.raises(IndexFormatError, match="obsolete"):
+            SegmentReader(str(tmp_path / "seg"), KeyLayout(SMALL_TABLE))
+
+    def test_key_width_must_match_the_layout(self, tmp_path):
+        write_lists(tmp_path / "seg", {"kw": [(0, 1)]}).close()
         with pytest.raises(IndexFormatError):
-            SegmentReader(path)
+            SegmentReader(str(tmp_path / "seg"), KeyLayout(LevelTable([200] * 6)))
 
-    def test_rejects_zero_block_entries(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_segments(
-                str(tmp_path / "s.dat"), [("kw", [(0,)])], generation=1, block_entries=0
+    def test_close_with_a_live_view_does_not_raise(self, tmp_path):
+        # mmap.close() would raise BufferError here; the reader only drops
+        # its own reference and the last view's release unmaps.
+        reader = write_lists(tmp_path / "seg", {"kw": [(0, 1), (0, 2)]})
+        stream = reader.scan("kw")
+        assert next(stream) == (0, 1)
+        reader.close()
+        assert next(stream) == (0, 2)
+
+
+# -- MatchSource conformance ------------------------------------------------------
+
+
+def probe_sequence(rng, nodes, n=60):
+    """Probes around the list: hits, gaps, ancestors, uncles, both ends,
+    in random (so frequently regressing) order."""
+    pool = [(0,), (0, 3, 3, 3, 3), (0, 4)]
+    for node in nodes:
+        pool.append(node)
+        if len(node) > 1:
+            pool += [node[:-1], node[:-1] + (node[-1] + 1,)]
+        if len(node) < 5:
+            pool.append(node + (0,))
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def drive(source, calls):
+    return [getattr(source, op)(v) for op, v in calls]
+
+
+class TestSourceConformance:
+    @pytest.mark.parametrize("cursor", [False, True])
+    def test_randomized_against_memory_sources(self, tmp_path, cursor):
+        rng = random.Random(17 + cursor)
+        reference_cls = CursorListSource if cursor else SortedListSource
+        for round_ in range(40):
+            nodes = sorted(
+                {(0,) + tuple(rng.randrange(4) for _ in range(rng.randrange(5)))
+                 for _ in range(rng.choice([1, 2, 9, 200]))}
             )
-
-
-# -- PackedListSource vs the in-memory oracle ---------------------------------
-
-
-def _probe_set(nodes, rng):
-    """Present nodes, absent neighbours, and out-of-range extremes."""
-    probes = list(nodes)
-    probes += [n + (0,) for n in nodes]  # just after (child of) each node
-    probes += [n[:-1] for n in nodes if len(n) > 1]  # just before: the parent
-    probes += [(), (0,), (10**9,), (0, 10**9)]
-    rng.shuffle(probes)
-    return probes
-
-
-class TestPackedSourceOracle:
-    @pytest.mark.parametrize("block_entries", [1, 2, 7, DEFAULT_BLOCK_ENTRIES])
-    def test_randomized_against_sorted_source(self, tmp_path, block_entries):
-        rng = random.Random(block_entries * 7919)
-        path = str(tmp_path / "segments.dat")
-        for trial in range(40):
-            nodes = sorted_list(
-                tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 8)))
-                for _ in range(rng.randint(1, 120))
-            )
-            write_segments(path, [("kw", nodes)], generation=trial, block_entries=block_entries)
-            with SegmentReader(path) as reader:
-                packed = PackedListSource(reader, "kw")
-                oracle = SortedListSource(nodes)
-                assert len(packed) == len(oracle) == len(nodes)
-                assert list(packed.scan()) == nodes
-                for probe in _probe_set(nodes, rng):
-                    assert packed.lm(probe) == oracle.lm(probe), (trial, probe)
-                    assert packed.rm(probe) == oracle.rm(probe), (trial, probe)
+            calls = [
+                (rng.choice(("lm", "rm")), v) for v in probe_sequence(rng, nodes)
+            ]
+            if round_ % 2:
+                # The eager loop's pattern: lm then rm at the same probe,
+                # probes mostly ascending.
+                ordered = sorted(v for _, v in calls)
+                calls = [(op, v) for v in ordered for op in ("lm", "rm")]
+            with write_lists(tmp_path / "seg", {"kw": nodes}) as reader:
+                want_counters, got_counters = OpCounters(), OpCounters()
+                want = drive(reference_cls(nodes, want_counters), calls)
+                packed = PackedListSource(reader, "kw", got_counters, cursor=cursor)
+                assert drive(packed, calls) == want
+                assert got_counters == want_counters
+                assert list(packed.scan()) == nodes and len(packed) == len(nodes)
 
     @given(
-        deweys=st.lists(deep_dewey_st, min_size=1, max_size=60),
-        probes=st.lists(deep_dewey_st, min_size=1, max_size=30),
-        block_entries=st.sampled_from([1, 3, 8, 128]),
+        nodes=keyword_list_st,
+        probes=st.lists(st.tuples(st.sampled_from(("lm", "rm")), dewey_st), max_size=40),
+        cursor=st.booleans(),
     )
+    @settings(max_examples=80, deadline=None)
+    def test_property_oracle(self, tmp_path_factory, nodes, probes, cursor):
+        path = tmp_path_factory.mktemp("seg") / "seg"
+        reference_cls = CursorListSource if cursor else SortedListSource
+        with write_lists(path, {"kw": nodes}) as reader:
+            want_counters, got_counters = OpCounters(), OpCounters()
+            want = drive(reference_cls(nodes, want_counters), probes)
+            got = drive(PackedListSource(reader, "kw", got_counters, cursor=cursor), probes)
+            assert got == want and got_counters == want_counters
+
+    def test_probe_outside_the_level_table_raises(self, tmp_path):
+        with write_lists(tmp_path / "seg", {"kw": [(0, 1)]}) as reader:
+            source = PackedListSource(reader, "kw")
+            with pytest.raises(DeweyError):
+                source.rm((0, 1, 1, 1, 1, 1))
+
+
+# -- the integer kernel ---------------------------------------------------------------
+
+
+class TupleOnly:
+    """Hides a packed source's keys, forcing ``eager_slca`` onto its tuple loop."""
+
+    def __init__(self, inner):
+        self.lm, self.rm, self.scan = inner.lm, inner.rm, inner.scan
+        self._inner = inner
+
+    def __len__(self):
+        return len(self._inner)
+
+
+def run_slca(reader, keywords, cursor, tuple_loop=False):
+    counters = OpCounters()
+    sources = [PackedListSource(reader, kw, counters, cursor=cursor) for kw in keywords]
+    if tuple_loop:
+        sources = [TupleOnly(source) for source in sources]
+    return list(eager_slca(sources, counters)), counters
+
+
+def memory_slca(lists, cursor):
+    counters = OpCounters()
+    cls = CursorListSource if cursor else SortedListSource
+    return list(eager_slca([cls(lst, counters) for lst in lists], counters)), counters
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("cursor", [False, True])
+    def test_random_documents_against_brute_force(self, tmp_path, cursor):
+        """Kernel == tuple loop == in-memory sources (answers and
+        OpCounters) == brute force, for every keyword subset order."""
+        rng = random.Random(5)
+        for seed in range(25):
+            tree = random_labeled_tree(seed, n_nodes=rng.choice([8, 40, 120]))
+            lists = tree.keyword_lists()
+            layout = KeyLayout(LevelTable.from_tree(tree))
+            write_segments(
+                str(tmp_path / "seg"),
+                ((kw, map(layout.pack, nodes)) for kw, nodes in lists.items()),
+                0, layout,
+            )
+            with SegmentReader(str(tmp_path / "seg"), layout) as reader:
+                for _ in range(6):
+                    query = rng.sample(sorted(lists), k=min(len(lists), rng.randint(1, 4)))
+                    wanted = [lists[kw] for kw in query]
+                    kernel, kernel_counters = run_slca(reader, query, cursor)
+                    looped, loop_counters = run_slca(reader, query, cursor, tuple_loop=True)
+                    memory, memory_counters = memory_slca(wanted, cursor)
+                    assert kernel == looped == memory
+                    assert kernel == sorted(slca_by_containment(wanted))
+                    assert kernel_counters == loop_counters == memory_counters
+
+    @given(lists=st.lists(keyword_list_st, min_size=1, max_size=4), cursor=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_property_oracle(self, deweys, probes, block_entries):
-        import tempfile
+    def test_property_kernel_equals_tuple_loop(self, tmp_path_factory, lists, cursor):
+        path = tmp_path_factory.mktemp("seg") / "seg"
+        named = {f"k{i}": lst for i, lst in enumerate(lists)}
+        with write_lists(path, named) as reader:
+            kernel, kernel_counters = run_slca(reader, list(named), cursor)
+            memory, memory_counters = memory_slca(lists, cursor)
+            assert kernel == memory == sorted(slca_by_containment(lists))
+            assert kernel_counters == memory_counters
 
-        nodes = sorted_list(deweys)
-        with tempfile.TemporaryDirectory(prefix="xks-seg-") as tmp:
-            path = os.path.join(tmp, "segments.dat")
-            write_segments(path, [("kw", nodes)], generation=0, block_entries=block_entries)
-            self._check(path, nodes, probes)
+    def test_other_semantics_through_the_tuple_protocol(self, tmp_path):
+        rng = random.Random(11)
+        for seed in range(15):
+            tree = random_labeled_tree(100 + seed, n_nodes=60)
+            lists = tree.keyword_lists()
+            layout = KeyLayout(LevelTable.from_tree(tree))
+            write_segments(
+                str(tmp_path / "seg"),
+                ((kw, map(layout.pack, nodes)) for kw, nodes in lists.items()),
+                0, layout,
+            )
+            with SegmentReader(str(tmp_path / "seg"), layout) as reader:
+                query = sorted(rng.sample(sorted(lists), k=3), key=lambda kw: len(lists[kw]))
+                wanted = [lists[kw] for kw in query]
+                sources = [PackedListSource(reader, kw) for kw in query]
+                assert set(find_all_lcas(sources)) == all_lca_by_containment(wanted)
+                scans = [reader.scan(kw) for kw in query]
+                assert sorted(stack_slca(scans)) == sorted(slca_by_containment(wanted))
+                scans = [reader.scan(kw) for kw in query]
+                assert set(stack_elca(scans)) == elca_by_containment(wanted)
 
-    @staticmethod
-    def _check(path, nodes, probes):
-        with SegmentReader(path) as reader:
-            packed = PackedListSource(reader, "kw")
-            oracle = SortedListSource(nodes)
-            for probe in probes:
-                assert packed.lm(probe) == oracle.lm(probe)
-                assert packed.rm(probe) == oracle.rm(probe)
-
-    def test_singleton_list(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        write_segments(path, [("kw", [(0, 2)])], generation=0)
-        with SegmentReader(path) as reader:
-            packed = PackedListSource(reader, "kw")
-            assert packed.lm((0, 1)) is None
-            assert packed.lm((0, 2)) == (0, 2)
-            assert packed.rm((0, 3)) is None
-            assert packed.rm((0,)) == (0, 2)
-
-    def test_counter_accounting(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        write_segments(path, [("kw", [(0, i) for i in range(40)])], generation=0)
-        with SegmentReader(path) as reader:
+    def test_counters_are_current_at_every_yield(self, tmp_path):
+        lists = {"a": [(0, 0, 1), (0, 1, 1), (0, 2, 1)], "b": [(0, 0, 2), (0, 1, 2), (0, 2, 2)]}
+        with write_lists(tmp_path / "seg", lists) as reader:
             counters = OpCounters()
-            packed = PackedListSource(reader, "kw", counters)
-            for i in range(10):
-                packed.lm((0, i))
-                packed.rm((0, i))
-            assert counters.lm_ops == 10
-            assert counters.rm_ops == 10
+            sources = [PackedListSource(reader, kw, counters) for kw in ("a", "b")]
+            reference = OpCounters()
+            tuples = eager_slca(
+                [SortedListSource(lists[kw], reference) for kw in ("a", "b")], reference
+            )
+            for got in eager_slca(sources, counters):
+                assert got == next(tuples)
+                assert counters == reference
+            assert next(tuples, None) is None and counters == reference
+
+    def test_deadline_is_checked_per_candidate(self, tmp_path):
+        # More candidates than the checkpoint stride (256), so the clock is read.
+        nodes = sorted({(0, a, b, c) for a in range(8) for b in range(8) for c in range(8)})
+        table = LevelTable([8, 8, 8])
+        with write_lists(tmp_path / "seg", {"a": nodes, "b": nodes}, table=table) as reader:
+            counters = OpCounters()
+            sources = [PackedListSource(reader, kw, counters) for kw in ("a", "b")]
+            with bind_deadline(Deadline(0.0)):
+                with pytest.raises(DeadlineExceeded):
+                    list(eager_slca(sources, counters))
+            # Aborted at a candidate boundary, counts flushed on the way out.
+            assert 0 < counters.candidates < len(nodes)
+            assert counters.lm_ops == counters.rm_ops == counters.candidates
+
+    def test_mixed_sources_take_the_tuple_loop(self, tmp_path):
+        lists = {"a": [(0, 0, 1), (0, 1, 1)], "b": [(0, 0, 2), (0, 1, 2)]}
+        with write_lists(tmp_path / "seg", lists) as reader:
+            counters = OpCounters()
+            sources = [
+                PackedListSource(reader, "a", counters),
+                SortedListSource(lists["b"], counters),
+            ]
+            assert list(eager_slca(sources, counters)) == [(0, 0), (0, 1)]
+            assert counters.lm_ops == 2
+            three = [
+                PackedListSource(reader, "a"),
+                PackedListSource(reader, "b"),
+                SortedListSource(lists["a"]),
+            ]
+            assert list(eager_slca(three)) == [(0, 0), (0, 1)]
+            modes = [
+                PackedListSource(reader, "a"),
+                PackedListSource(reader, "b", cursor=True),
+                PackedListSource(reader, "b"),
+            ]
+            assert list(eager_slca(modes)) == [(0, 0), (0, 1)]
 
 
 # -- tier selection over a real index -----------------------------------------
@@ -273,10 +370,22 @@ class TestTierSelection:
         assert index.posting_tier() == "segment"
         assert "segments" in index.manifest
 
-    def test_indexed_sources_are_packed(self, built):
+    def test_sources_are_packed_in_both_modes(self, built):
         index, _, _ = built
-        sources = index.sources_for(["xkrare", "xkbig"], mode="indexed")
-        assert all(isinstance(s, PackedListSource) for s in sources)
+        for mode, cursor in (("indexed", False), ("scan", True)):
+            sources = index.sources_for(["xkrare", "xkbig"], mode=mode)
+            assert all(isinstance(s, PackedListSource) for s in sources)
+            assert all(s.cursor is cursor for s in sources)
+            assert sources[0].layout is sources[1].layout  # the kernel's condition
+        with pytest.raises(ValueError):
+            index.sources_for(["xkrare"], mode="bogus")
+
+    def test_manifest_records_the_version_written(self, built):
+        index, _, index_dir = built
+        assert index.manifest["segments"]["version"] == 3
+        assert index.manifest["segments"]["key_bits"] in (32, 64)
+        with open_index_segments(index_dir) as reader:
+            assert reader.version == 3
 
     def test_opt_out_forces_bptree(self, built):
         _, _, index_dir = built
@@ -301,6 +410,10 @@ class TestTierSelection:
         stats = index.stats()
         assert stats["posting_tier"] == "segment"
         assert stats["segments"]["keywords"] > 0
+        assert stats["segments"]["version"] == 3
+        assert set(stats["segments"]) >= {
+            "generation", "version", "verify_checksums", "quarantined"
+        }
 
 
 # -- generation protocol ------------------------------------------------------
@@ -334,62 +447,41 @@ class TestGenerationInvalidation:
         # Pre-existing lists survived the rebuild byte-identically.
         assert list(index.scan("xkrare")) == tree.keyword_lists()["xkrare"]
 
+    def test_updater_stamps_the_version_it_wrote(self, built):
+        index, _, index_dir = built
+        # A manifest stamped by an older build (which recorded version 1
+        # whatever it wrote) is corrected by the next commit.
+        manifest_path = os.path.join(index_dir, "manifest.json")
+        manifest = dict(index.manifest, segments=dict(index.manifest["segments"], version=1))
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with IndexUpdater(index_dir) as updater:
+            updater.add_postings({"xkfresh": [((0, 0, 0, 0, 0, 0), "title")]})
+        with open(manifest_path) as fh:
+            assert json.load(fh)["segments"]["version"] == 3
+
+    def test_refresh_during_an_in_flight_scan(self, built):
+        """A refresh closes the old reader while a query still iterates a
+        view of it: no BufferError, the old scan finishes on the old
+        contents, new scans see the new ones."""
+        index, tree, index_dir = built
+        want = tree.keyword_lists()["xkbig"]
+        in_flight = index.scan("xkbig")
+        head = [next(in_flight) for _ in range(3)]
+        source = index.sources_for(["xkbig"], mode="scan")[0]
+        with IndexUpdater(index_dir) as updater:
+            updater.remove_postings({"xkbig": want[:2]})
+        index.generation()  # notices the bump: refresh() reopens the segments
+        assert index.segments_active()
+        assert head + list(in_flight) == want
+        assert list(source.scan()) == want and source.rm(want[0]) == want[0]
+        assert list(index.scan("xkbig")) == want[2:]
+
     def test_stamped_generation_matches_registry(self, built):
         index, _, index_dir = built
         reader = index._segments
         assert reader is not None
         assert reader.generation == current_generation(index_dir)
-
-
-# -- posting-block cache ------------------------------------------------------
-
-
-class TestPostingCache:
-    def test_shared_hits_after_local_eviction(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        nodes = [(0, i) for i in range(600)]
-        write_segments(path, [("kw", nodes)], generation=3, block_entries=16)
-        cache = PostingBlockCache(slot_count=64, slot_size=4096)
-        try:
-            # Warm the shared cache with one reader...
-            with SegmentReader(path, posting_cache=cache) as warm:
-                assert list(warm.scan("kw")) == nodes
-                assert warm.stats.decodes > 0
-            # ...then a fresh reader (cold local LRU) should hit it.
-            with SegmentReader(path, posting_cache=cache) as reader:
-                assert list(reader.scan("kw")) == nodes
-                assert reader.stats.shared_hits > 0
-                assert reader.stats.decodes == 0
-        finally:
-            cache.close()
-
-    def test_generation_mismatch_misses(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        nodes = [(0, i) for i in range(64)]
-        cache = PostingBlockCache(slot_count=64, slot_size=4096)
-        try:
-            write_segments(path, [("kw", nodes)], generation=1, block_entries=16)
-            with SegmentReader(path, posting_cache=cache) as reader:
-                list(reader.scan("kw"))
-            # Same blocks, new generation: the stamped entries must miss.
-            write_segments(path, [("kw", nodes)], generation=2, block_entries=16)
-            with SegmentReader(path, posting_cache=cache) as reader:
-                assert reader.generation == 2
-                assert list(reader.scan("kw")) == nodes
-                assert reader.stats.shared_hits == 0
-                assert reader.stats.decodes > 0
-        finally:
-            cache.close()
-
-    def test_local_lru_hits(self, tmp_path):
-        path = str(tmp_path / "segments.dat")
-        write_segments(path, [("kw", [(0, i) for i in range(64)])], generation=0, block_entries=8)
-        with SegmentReader(path) as reader:
-            list(reader.scan("kw"))
-            decodes = reader.stats.decodes
-            list(reader.scan("kw"))
-            assert reader.stats.decodes == decodes
-            assert reader.stats.local_hits > 0
 
 
 # -- end-to-end: segments on vs off must be byte-identical --------------------
@@ -447,11 +539,9 @@ class TestPoolWorkers:
         from repro.xksearch.parallel import WorkerPool
 
         build_index(planted_dblp, tmp_path / "idx", page_size=1024)
-        cache = PostingBlockCache(slot_count=128, slot_size=8192)
-        pool = WorkerPool(tmp_path / "idx", workers=2, posting_cache=cache)
+        pool = WorkerPool(tmp_path / "idx", workers=2)
         system = XKSearch.open(tmp_path / "idx", load_document=False)
         system.engine.attach_pool(pool)
-        system.index.attach_posting_cache(cache)
         reference = XKSearch.open(
             tmp_path / "idx", load_document=False, use_segments=False
         )
@@ -463,6 +553,74 @@ class TestPoolWorkers:
             assert sum(w["tasks"] for w in pool.stats_dict()["workers"]) > 0
         finally:
             pool.close()
-            cache.close()
             system.close()
             reference.close()
+
+
+# -- indexes without segments: old files, wide tables, the varint codec -------
+
+
+def answers(system):
+    return {
+        (query, algorithm): list(system.search_ids(query, algorithm=algorithm))
+        for query in QUERIES
+        for algorithm in ("il", "scan", "stack")
+    }
+
+
+class TestNoSegmentFallbacks:
+    def test_v2_file_is_ignored_then_rewritten_by_the_next_commit(
+        self, tmp_path, planted_dblp
+    ):
+        index_dir = tmp_path / "idx"
+        build_index(planted_dblp, index_dir, page_size=1024)
+        with XKSearch.open(index_dir, load_document=False) as system:
+            want = answers(system)
+        with open(segments_path(index_dir), "r+b") as fh:  # pose as a v2 file
+            fh.seek(4)
+            fh.write(struct.pack(">H", 2))
+        with XKSearch.open(index_dir, load_document=False) as system:
+            assert system.index.posting_tier() == "bptree"
+            assert answers(system) == want
+        with pytest.raises(IndexFormatError):
+            open_index_segments(index_dir)
+        with IndexUpdater(index_dir) as updater:
+            updater.add_postings({"xkfresh": [((0, 0, 0, 0, 0, 0), "title")]})
+        with XKSearch.open(index_dir, load_document=False) as system:
+            assert system.index.posting_tier() == "segment"
+            assert system.index.manifest["segments"]["version"] == 3
+            assert answers(system) == want
+
+    @pytest.mark.parametrize("codec", ["varint", "packed-too-wide"])
+    def test_no_layout_means_no_segment_file(self, tmp_path, planted_dblp, codec):
+        reference_dir, index_dir = tmp_path / "ref", tmp_path / "idx"
+        build_index(planted_dblp, reference_dir, page_size=1024)
+        if codec == "varint":
+            build_index(planted_dblp, index_dir, page_size=1024, codec="varint")
+        else:
+            # The document's own fanouts, then levels nothing uses: 77 bits.
+            wide = LevelTable(LevelTable.from_tree(planted_dblp).fanouts + [1000] * 6)
+            assert wide.max_dewey_bits > 64
+            build_index(planted_dblp, index_dir, page_size=1024, level_table=wide)
+        assert not os.path.exists(segments_path(index_dir))
+        assert open_index_segments(index_dir) is None
+        with XKSearch.open(reference_dir, load_document=False) as reference:
+            with XKSearch.open(index_dir, load_document=False) as system:
+                assert "segments" not in system.index.manifest
+                assert system.index.posting_tier() == "bptree"
+                assert answers(system) == answers(reference)
+                for query in QUERIES:
+                    assert list(system.engine.execute_all_lca(query)) == list(
+                        reference.engine.execute_all_lca(query)
+                    )
+        # An update keeps it that way.
+        with IndexUpdater(index_dir) as updater:
+            updater.add_postings({"xkfresh": [((0, 0, 0, 0, 0, 0), "title")]})
+        assert not os.path.exists(segments_path(index_dir))
+
+    def test_rebuild_without_segments_removes_a_stale_file(self, tmp_path, planted_dblp):
+        index_dir = tmp_path / "idx"
+        build_index(planted_dblp, index_dir, page_size=1024)
+        assert os.path.exists(segments_path(index_dir))
+        build_index(planted_dblp, index_dir, page_size=1024, segments=False)
+        assert not os.path.exists(segments_path(index_dir))

@@ -1,14 +1,16 @@
 """Checksummed storage: detection, quarantine, and transparent re-answer."""
 
+import json
 import os
 
 import pytest
 
 from repro.errors import CorruptionError
 from repro.index.builder import INDEX_FILE_NAME, build_index
-from repro.index.segments import SegmentReader, segments_path
+from repro.index.segments import open_index_segments, segments_path
 from repro.index.verify import fsck_index, verify_index
 from repro.obs.metrics import get_registry
+from repro.robustness import faultinject
 from repro.robustness.checksum import ALGORITHM, checksum
 from repro.storage.pager import Pager, crc_sidecar_path
 from repro.xksearch.system import XKSearch
@@ -26,10 +28,10 @@ def build(tmp_path):
 
 
 def corrupt_segment_block(index_dir, keyword):
-    """Flip one bit inside *keyword*'s first posting block on disk."""
+    """Flip one bit inside *keyword*'s first chunk of keys on disk."""
     path = segments_path(index_dir)
-    with SegmentReader(path) as reader:
-        start = reader.skip_table(keyword).starts[0]
+    with open_index_segments(index_dir) as reader:
+        start = reader.byte_offset(keyword)
     with open(path, "r+b") as fh:
         fh.seek(start)
         byte = fh.read(1)[0]
@@ -56,8 +58,8 @@ class TestChecksumHelpers:
 class TestSegmentChecksums:
     def test_clean_read_verifies(self, tmp_path):
         index_dir = build(tmp_path)
-        with SegmentReader(segments_path(index_dir), verify_checksums=True) as reader:
-            assert reader.version >= 2
+        with open_index_segments(index_dir, verify_checksums=True) as reader:
+            assert reader.version == 3
             for keyword in ("xkrare", "xkmid", "xkbig"):
                 assert len(list(reader.scan(keyword))) > 0
             assert not reader.quarantined
@@ -66,7 +68,8 @@ class TestSegmentChecksums:
         index_dir = build(tmp_path)
         corrupt_segment_block(index_dir, "xkmid")
         before = corruption_count("segment")
-        with SegmentReader(segments_path(index_dir), verify_checksums=True) as reader:
+        with open_index_segments(index_dir, verify_checksums=True) as reader:
+            list(reader.scan("xkbig"))  # other lists are checked on their own
             with pytest.raises(CorruptionError) as excinfo:
                 list(reader.scan("xkmid"))
             assert excinfo.value.tier == "segment"
@@ -74,16 +77,38 @@ class TestSegmentChecksums:
         assert corruption_count("segment") == before + 1
 
     def test_unverified_reader_trusts_bytes(self, tmp_path):
-        # Without --verify-checksums the corrupt bytes are only caught if
-        # they break decoding; the flip may well go unnoticed — which is
-        # exactly why the flag and the fsck sweep exist.
+        # Without --verify-checksums nothing looks at the CRCs: the flip
+        # goes unnoticed — which is exactly why the flag and the fsck
+        # sweep exist.
         index_dir = build(tmp_path)
         corrupt_segment_block(index_dir, "xkmid")
-        with SegmentReader(segments_path(index_dir)) as reader:
+        with open_index_segments(index_dir) as reader:
+            assert len(list(reader.scan("xkmid"))) == 18
+            assert not reader.quarantined
+
+    def test_lists_are_verified_once_per_reader(self, tmp_path, monkeypatch):
+        index_dir = build(tmp_path)
+        with open_index_segments(index_dir, verify_checksums=True) as reader:
+            reader.keys("xkbig")
+            monkeypatch.setattr(
+                reader, "corrupt_chunks", lambda *a, **k: pytest.fail("re-verified")
+            )
+            reader.keys("xkbig")
+
+    def test_corrupt_block_fault_quarantines_and_reanswers(self, tmp_path):
+        index_dir = build(tmp_path)
+        with XKSearch.open(index_dir, load_document=False) as system:
+            want = list(system.search_ids(QUERY))
+            before = corruption_count("segment")
+            faultinject.arm("corrupt-block:times=1")
             try:
-                list(reader.scan("xkmid"))
-            except CorruptionError:
-                pass  # decode failure is an acceptable detection path too
+                assert system.index.segments_active()
+                assert list(system.search_ids(QUERY)) == want
+                assert not system.index.segments_active()
+            finally:
+                faultinject.reset_plan()
+            assert corruption_count("segment") == before + 1
+            assert list(system.search_ids(QUERY)) == want
 
 
 class TestTransparentReanswer:
@@ -184,6 +209,20 @@ class TestFsck:
         report = fsck_index(index_dir)
         assert not report.ok
         assert any("segment block" in error for error in report.errors)
+
+    def test_fsck_reports_manifest_file_version_mismatch(self, tmp_path):
+        index_dir = build(tmp_path)
+        manifest_path = os.path.join(index_dir, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["segments"]["version"] = 1
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        report = fsck_index(index_dir)
+        assert not report.ok
+        assert any(
+            "manifest records segments version 1" in error for error in report.errors
+        )
 
     def test_fsck_catches_page_corruption(self, tmp_path):
         index_dir = build(tmp_path)
