@@ -11,7 +11,8 @@ accounting after each:
   one ``xks_pool_fallback_total`` and one ``xks_pool_worker_deaths_total``
   increment per death, and the pool must respawn back to full size;
 * **storage corruption** — a bit flipped inside a posting block of the
-  packed segments is detected by the per-chunk CRC on a
+  packed segments, carried into a new segment file by a commit that
+  copies untouched lists through, is detected by the per-chunk CRC on a
   ``--verify-checksums`` server, counted once in
   ``xks_corruption_detected_total{tier="segment"}``, the segment tier is
   quarantined, and every answer is re-served byte-identical from the
@@ -43,6 +44,7 @@ import urllib.request
 
 from repro.index.builder import build_index
 from repro.index.segments import open_index_segments, segments_path
+from repro.index.updates import IndexUpdater
 from repro.obs.metrics import get_registry
 from repro.robustness import faultinject
 from repro.robustness.admission import AdmissionGate
@@ -158,7 +160,11 @@ def check_worker_crash(index_dir, reference) -> None:
 def check_corruption_reanswer(index_dir, reference) -> None:
     """A flipped bit in a segment posting block: detected once, segment
     tier quarantined, every answer re-served byte-identical from the
-    B+trees; fsck flags the same corruption."""
+    B+trees; fsck flags the same corruption.  The bit is flipped *before*
+    a commit that leaves the list alone, so what the server trips over is
+    a block the commit carried over from the old file together with its
+    stored CRC — neither healed by re-deriving nor blessed by
+    re-checksumming."""
     path = segments_path(index_dir)
     with open_index_segments(index_dir) as reader:
         start = reader.byte_offset("xkrare")
@@ -167,6 +173,11 @@ def check_corruption_reanswer(index_dir, reference) -> None:
         byte = fh.read(1)[0]
         fh.seek(start)
         fh.write(bytes([byte ^ 0x40]))
+    with IndexUpdater(index_dir) as updater:  # touches no queried keyword
+        assert updater.add_postings({"xkchaos": [((0, 0, 0, 0, 0, 0), "title")]}) == 1
+    with open_index_segments(index_dir) as reader:
+        assert reader.generation == 1 and "xkchaos" in reader
+        assert reader.byte_offset("xkrare") != start, "the commit rewrote nothing"
 
     before = counter_value("xks_corruption_detected_total", tier="segment")
     with XKSearch.open(

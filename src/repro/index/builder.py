@@ -200,9 +200,10 @@ def build_index(
 
         generation = seed_generation(index_dir, 0)
         manifest["generation"] = generation
+        key_of = layout.key_of_encoding
         manifest["segments"] = write_index_segments(
             index_dir,
-            ((kw, (enc for enc, _ in plist)) for kw, plist in encoded.items()),
+            ((kw, (key_of(enc) for enc, _ in plist)) for kw, plist in encoded.items()),
             generation,
             layout,
         )

@@ -13,6 +13,8 @@ import json
 import os
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
+from repro.storage.pager import write_json_atomic
+
 
 class FrequencyTable:
     """keyword → number of nodes whose label contains the keyword."""
@@ -37,6 +39,13 @@ class FrequencyTable:
     def keywords(self) -> Iterable[str]:
         return self._counts.keys()
 
+    def set_count(self, keyword: str, count: int) -> None:
+        """Record *keyword*'s list length in place; 0 drops the keyword."""
+        if count:
+            self._counts[keyword] = count
+        else:
+            self._counts.pop(keyword, None)
+
     def order_by_frequency(self, keywords: Sequence[str]) -> List[str]:
         """Query keywords sorted rarest first.
 
@@ -51,8 +60,7 @@ class FrequencyTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Union[str, os.PathLike]) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self._counts, handle)
+        write_json_atomic(path, self._counts)
 
     @classmethod
     def load(cls, path: Union[str, os.PathLike]) -> "FrequencyTable":

@@ -19,7 +19,8 @@ whenever it is current:
   generation (:mod:`repro.xksearch.cache`); after an
   :class:`~repro.index.updates.IndexUpdater` bump they fall back to the
   B+trees transparently — results are byte-identical either way — until
-  the updater's ``close()`` rebuilds the file.
+  the updater's ``close()`` writes the next file (re-deriving the lists
+  it touched, copying the rest from this one: :func:`write_segments`).
 
 File layout, version 3 (header and directory integers big-endian; keys
 and CRCs in the writer's native byte order, recorded in the flags)::
@@ -65,6 +66,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.counters import OpCounters
@@ -110,6 +112,7 @@ def write_segments(
     keyword_keys: Iterable[Tuple[str, Iterable[int]]],
     generation: int,
     layout: KeyLayout,
+    base: Optional["SegmentReader"] = None,
 ) -> int:
     """Write a segment file; returns the number of keywords written.
 
@@ -117,30 +120,63 @@ def write_segments(
     skipped.  The file is written to a temporary sibling and atomically
     renamed into place, so live readers keep their mapping of the old
     inode and the swap is crash-safe.
+
+    With *base* — a reader over the file this one replaces —
+    ``keyword_keys`` names only the lists that changed, in ascending
+    UTF-8 order (an empty list drops its keyword).  Every other list is
+    lifted out of the base mapping as bytes, whole runs of neighbouring
+    lists at a time: keys, directory entries and the **stored** CRC words,
+    which are never recomputed, so damage in the base is carried along
+    with the checksum that exposes it rather than blessed with a fresh
+    one.  The result is byte-identical to writing all lists afresh.
+    Raises :class:`~repro.errors.IndexFormatError`, before touching the
+    disk, if *base* was not laid out the way this writer lays files out.
     """
+    key_starts, crc_starts, dir_starts, names = (
+        base.copy_table(layout) if base is not None else ([0], [0], [0], [])
+    )
     tmp_path = path + ".tmp"
     chunk_bytes = CHUNK_ENTRIES * layout.bits // 8
-    crcs = array("I")
+    crcs = bytearray()
     directory = bytearray()
     dir_count = 0
-    offset = _HEADER.size
     with open(tmp_path, "wb") as fh:
         fh.write(b"\x00" * _HEADER.size)
+
+        def copy_lists(start: int, stop: int) -> None:
+            """Lift base lists ``start <= i < stop`` verbatim."""
+            nonlocal dir_count
+            if start < stop:
+                fh.write(base.raw_keys[key_starts[start]:key_starts[stop]])
+                crcs.extend(base.raw_crcs[crc_starts[start]:crc_starts[stop]])
+                directory.extend(base.raw_directory[dir_starts[start]:dir_starts[stop]])
+                dir_count += stop - start
+
+        copied = 0  # base lists before this one are written or dropped
         for keyword, keys in keyword_keys:
+            kw_bytes = keyword.encode("utf-8")
+            if names:
+                at = bisect_left(names, kw_bytes, copied)
+                copy_lists(copied, at)
+                replaces = at < len(names) and names[at] == kw_bytes
+                copied = at + 1 if replaces else at
             data = array(layout.typecode, keys).tobytes()
             if not data:
                 continue
             fh.write(data)
-            offset += len(data)
-            crcs.extend(
-                checksum(data[start:start + chunk_bytes])
-                for start in range(0, len(data), chunk_bytes)
-            )
-            kw_bytes = keyword.encode("utf-8")
+            crcs += array(
+                "I",
+                (
+                    checksum(data[start:start + chunk_bytes])
+                    for start in range(0, len(data), chunk_bytes)
+                ),
+            ).tobytes()
             directory += _DIR_ENTRY_HEAD.pack(len(kw_bytes)) + kw_bytes
             directory += _DIR_ENTRY_TAIL.pack(len(data) * 8 // layout.bits)
             dir_count += 1
-        fh.write(crcs.tobytes())
+        copy_lists(copied, len(names))
+        dir_offset = fh.tell() + len(crcs)
+        fh.write(crcs)
         fh.write(directory)
         flags = algorithm_flag(ALGORITHM)
         if sys.byteorder == "little":
@@ -149,7 +185,7 @@ def write_segments(
         fh.write(
             _HEADER.pack(
                 _MAGIC, SEGMENTS_VERSION, flags, generation,
-                offset + len(crcs) * crcs.itemsize, dir_count, layout.bits,
+                dir_offset, dir_count, layout.bits,
             )
         )
         fh.flush()
@@ -160,20 +196,14 @@ def write_segments(
 
 def write_index_segments(
     index_dir: os.PathLike,
-    keyword_encodings: Iterable[Tuple[str, Iterable[bytes]]],
+    keyword_keys: Iterable[Tuple[str, Iterable[int]]],
     generation: int,
     layout: KeyLayout,
+    base: Optional["SegmentReader"] = None,
 ) -> dict:
-    """Write *index_dir*'s segment file from ``(keyword, packed-codec
-    encodings)`` — the bytes the B+trees already hold — and return the
+    """:func:`write_segments` into *index_dir*'s segment file; returns the
     manifest's ``"segments"`` entry describing what was written."""
-    key = layout.key_of_encoding
-    write_segments(
-        segments_path(index_dir),
-        ((keyword, map(key, encodings)) for keyword, encodings in keyword_encodings),
-        generation,
-        layout,
-    )
+    write_segments(segments_path(index_dir), keyword_keys, generation, layout, base)
     return {
         "version": SEGMENTS_VERSION,
         "generation": generation,
@@ -205,12 +235,12 @@ class SegmentReader:
     def __init__(self, path: str, layout: KeyLayout, verify_checksums: bool = False):
         self.path = path
         self.layout = layout
-        view = memoryview(open_readonly_mmap(path))
         try:
+            view = memoryview(open_readonly_mmap(path))
             magic, version, flags, generation, dir_offset, dir_count, key_bits = (
                 _HEADER.unpack_from(view, 0)
             )
-        except struct.error:
+        except (ValueError, struct.error):  # ValueError: an empty file cannot be mapped
             raise IndexFormatError(f"segment file {path} is truncated") from None
         if magic != _MAGIC:
             raise IndexFormatError(f"segment file {path} has bad magic {magic!r}")
@@ -252,8 +282,12 @@ class SegmentReader:
         crc_offset = _HEADER.size + first_key * key_bits // 8
         if crc_offset + 4 * first_chunk != dir_offset or pos > len(view):
             raise IndexFormatError(f"segment directory of {path} is corrupt")
-        self._keys = view[_HEADER.size:crc_offset].cast(layout.typecode)
-        self._crcs = view[crc_offset:dir_offset].cast("I")
+        #: The three sections as stored bytes (what a rewrite copies).
+        self.raw_keys = view[_HEADER.size:crc_offset]
+        self.raw_crcs = view[crc_offset:dir_offset]
+        self.raw_directory = view[dir_offset:pos]
+        self._keys = self.raw_keys.cast(layout.typecode)
+        self._crcs = self.raw_crcs.cast("I")
 
     # -- catalogue -----------------------------------------------------------
 
@@ -266,6 +300,41 @@ class SegmentReader:
 
     def keywords(self) -> List[str]:
         return sorted(self._directory)
+
+    def copy_table(self, layout: KeyLayout) -> Tuple[List[int], List[int], List[int], List[bytes]]:
+        """Where each list sits, for :func:`write_segments` to copy from.
+
+        Returns ``(key_starts, crc_starts, dir_starts, names)``: the lists'
+        keywords as UTF-8 in file order, and for list ``i`` the byte
+        offset of its keys, CRC words and directory entry within
+        ``raw_keys`` / ``raw_crcs`` / ``raw_directory`` (each with one
+        closing entry, the section's length).  Raises
+        :class:`~repro.errors.IndexFormatError` if copying would not
+        reproduce what the writer emits: another key width or CRC
+        polynomial, or lists not in ascending keyword order.
+        """
+        names = [keyword.encode("utf-8") for keyword in self._directory]
+        if (
+            layout.bits != self.layout.bits
+            or self.checksum_algorithm != ALGORITHM
+            or any(a >= b for a, b in zip(names, names[1:]))
+        ):
+            raise IndexFormatError(
+                f"segment file {self.path} is not laid out as this writer would"
+            )
+        width = layout.bits // 8
+        entries = self._directory.values()
+        return (
+            [first * width for first, _, _ in entries] + [self.raw_keys.nbytes],
+            [4 * chunk for _, _, chunk in entries] + [self.raw_crcs.nbytes],
+            list(
+                accumulate(
+                    (_DIR_ENTRY_HEAD.size + len(name) + _DIR_ENTRY_TAIL.size for name in names),
+                    initial=0,
+                )
+            ),
+            names,
+        )
 
     def byte_offset(self, keyword: str) -> int:
         """File offset of *keyword*'s first key (for corruption drills)."""
@@ -352,6 +421,7 @@ class SegmentReader:
         it is unmapped when the last view of it is released.
         """
         self._keys = self._crcs = None
+        self.raw_keys = self.raw_crcs = self.raw_directory = None
 
     def __enter__(self) -> "SegmentReader":
         return self

@@ -19,8 +19,13 @@ index should be rebuilt from the source document.
 stored-checksum sweeps from docs/ROBUSTNESS.md: every B+tree page is
 re-checksummed against the pager's ``.crc`` sidecar and every chunk of
 every keyword's packed keys against the segment file's CRC table — the
-offline counterpart of ``serve --verify-checksums`` — and the segment
-file's format version is compared with the one the manifest records.
+offline counterpart of ``serve --verify-checksums`` — the segment
+file's format version is compared with the one the manifest records, and
+a segment file stamped with the manifest's generation (the only kind
+readers use) must hold, keyword for keyword, exactly the keys of the IL
+tree's postings: the oracle for commits that copy untouched lists from
+the previous file instead of re-deriving them
+(:mod:`repro.index.updates`).
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ def fsck_index(index_dir: Union[str, os.PathLike]) -> VerifyReport:
     """``verify_index`` plus the stored-checksum sweeps (``xksearch fsck``)."""
     report = verify_index(index_dir)
     _check_page_checksums(index_dir, report)
-    _check_segment_checksums(index_dir, report)
+    _check_segments(index_dir, report)
     return report
 
 
@@ -128,10 +133,11 @@ def _check_page_checksums(
     report.checks += 1
 
 
-def _check_segment_checksums(
+def _check_segments(
     index_dir: Union[str, os.PathLike], report: VerifyReport
 ) -> None:
-    """Re-checksum every chunk of the packed posting segments."""
+    """Re-checksum every chunk of the packed posting segments, and compare
+    a current file's keys with the IL tree's."""
     from repro.index.segments import (
         open_index_segments,
         segments_path,
@@ -141,7 +147,8 @@ def _check_segment_checksums(
     path = segments_path(index_dir)
     if not os.path.exists(path):
         return  # segments are optional; nothing to sweep
-    recorded = (load_manifest(index_dir).get("segments") or {}).get("version")
+    manifest = load_manifest(index_dir)
+    recorded = (manifest.get("segments") or {}).get("version")
     on_disk = stored_version(path)
     if recorded != on_disk:
         report._fail(
@@ -162,7 +169,37 @@ def _check_segment_checksums(
                 report._fail(
                     f"segment block {keyword!r}#{chunk}: checksum mismatch"
                 )
+        report.checks += 1
+        if reader.generation == manifest.get("generation", 0):
+            _check_segment_keys(index_dir, reader, report)
+
+
+def _check_segment_keys(index_dir, reader, report: VerifyReport) -> None:
+    """The segment file must hold exactly the IL tree's postings: the
+    same keywords, and per keyword the keys of its IL key suffixes."""
+    key_of = reader.layout.key_of_encoding
+    derived: Dict[str, List[int]] = {}
+    try:
+        with DiskKeywordIndex(index_dir, use_segments=False) as index:
+            for key, _ in index.il_tree.scan():
+                keyword, encoded = split_posting_key(key)
+                derived.setdefault(keyword, []).append(key_of(encoded))
+    except (ReproError, ValueError) as exc:
+        report._fail(f"segment/il cross-check aborted: {exc}")
+        return
     report.checks += 1
+    for keyword in sorted(derived.keys() | set(reader.keywords())):
+        want = derived.get(keyword, [])
+        have = list(reader.keys(keyword)) if keyword in reader else []
+        if have != want:
+            at = next(
+                (i for i, (a, b) in enumerate(zip(have, want)) if a != b),
+                min(len(have), len(want)),
+            )
+            report._fail(
+                f"segment/il divergence for {keyword!r}: {len(have)} keys vs "
+                f"{len(want)} postings, first difference at position {at}"
+            )
 
 
 def _check_btree_structure(index: DiskKeywordIndex, report: VerifyReport) -> None:

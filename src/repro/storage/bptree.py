@@ -381,16 +381,25 @@ class BPlusTree:
         return problems
 
     def internal_page_ids(self) -> List[int]:
-        """Page ids of every non-leaf node (for pinning)."""
+        """Page ids of every non-leaf node (for pinning), level by level.
+
+        Reads the inner nodes and one leaf page, never the leaf level: the
+        tree is balanced (splits grow it at the root, deletion removes no
+        node), so once a level's first child is a leaf — told by the
+        page's kind byte, without decoding it — all its children are.
+        """
         pids: List[int] = []
-        stack = [self._root_pid]
-        while stack:
-            pid = stack.pop()
-            node = self._read_node(pid)
-            if isinstance(node, _InternalNode):
-                pids.append(pid)
-                stack.extend(node.children)
-        return pids
+        level = [self._root_pid]
+        while True:
+            kind = self.pool.get_page(level[0])[0]
+            if kind == _LEAF:
+                return pids
+            if kind != _INTERNAL:
+                raise TreeCorruptError(f"unknown B+tree node type {kind}")
+            pids.extend(level)
+            level = [
+                child for pid in level for child in self._read_node(pid).children
+            ]
 
     def leaf_page_ids(self) -> List[int]:
         """Page ids of every leaf, in key order."""
@@ -404,41 +413,45 @@ class BPlusTree:
 
     # -- insertion ---------------------------------------------------------------
 
-    def insert(self, key: bytes, value: bytes) -> None:
-        """Insert or replace the entry for *key*."""
+    def insert(self, key: bytes, value: bytes) -> bool:
+        """Insert or replace the entry for *key*; True if the key is new."""
         self._check_entry_fits(key, value)
-        split = self._insert_into(self._root_pid, key, value)
+        is_new, split = self._insert_into(self._root_pid, key, value)
         if split is not None:
             sep, right_pid = split
             new_root = self.pool.pager.allocate()
             self._write_node(new_root, _InternalNode([sep], [self._root_pid, right_pid]))
             self._set_root(new_root)
+        return is_new
 
     def _insert_into(self, pid: int, key: bytes, value: bytes):
-        """Insert under *pid*; return (separator, new_right_pid) on split."""
+        """Insert under *pid*; return ``(key is new, split)``, where split
+        is ``(separator, new_right_pid)`` if the node at *pid* split, else
+        ``None``."""
         node = self._read_node(pid)
         if isinstance(node, _LeafNode):
             i = bisect_left(node.keys, key)
-            if i < len(node.keys) and node.keys[i] == key:
-                node.values[i] = value
-            else:
+            is_new = i == len(node.keys) or node.keys[i] != key
+            if is_new:
                 node.keys.insert(i, key)
                 node.values.insert(i, value)
+            else:
+                node.values[i] = value
             if node.encoded_size() <= self.page_capacity:
                 self._write_node(pid, node)
-                return None
-            return self._split_leaf(pid, node)
+                return is_new, None
+            return is_new, self._split_leaf(pid, node)
         slot = bisect_right(node.keys, key)
-        split = self._insert_into(node.children[slot], key, value)
+        is_new, split = self._insert_into(node.children[slot], key, value)
         if split is None:
-            return None
+            return is_new, None
         sep, right_pid = split
         node.keys.insert(slot, sep)
         node.children.insert(slot + 1, right_pid)
         if node.encoded_size() <= self.page_capacity:
             self._write_node(pid, node)
-            return None
-        return self._split_internal(pid, node)
+            return is_new, None
+        return is_new, self._split_internal(pid, node)
 
     def _split_leaf(self, pid: int, node: _LeafNode):
         mid = self._split_point(node.keys, node.values)

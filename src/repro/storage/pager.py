@@ -78,6 +78,22 @@ def open_readonly_mmap(path: Union[str, os.PathLike]) -> mmap.mmap:
         fh.close()
 
 
+def write_json_atomic(path: Union[str, os.PathLike], payload, **dump_kwargs) -> None:
+    """Publish *payload* as JSON at *path* in one step.
+
+    Written to a temporary sibling, flushed to disk, then renamed over
+    *path*: a reader in another process sees the old file or the whole
+    new one, never a partial write.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, **dump_kwargs)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 @dataclass
 class IOStats:
     """Physical I/O counters maintained by the pager."""
@@ -216,16 +232,12 @@ class Pager:
     def _save_crc_sidecar(self) -> None:
         if not self._crc_dirty:
             return
-        sidecar = crc_sidecar_path(self.path)
-        tmp = sidecar + ".tmp"
         payload = {
             "algorithm": self._crc_algorithm,
             "page_size": self.page_size,
             "crcs": {str(pid): crc for pid, crc in sorted(self._page_crcs.items())},
         }
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
-        os.replace(tmp, sidecar)
+        write_json_atomic(crc_sidecar_path(self.path), payload, separators=(",", ":"))
         self._crc_dirty = False
 
     def _note_write(self, pid: int, padded: bytes) -> None:
@@ -371,9 +383,15 @@ class Pager:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def sync(self) -> None:
+    def flush(self) -> None:
+        """Hand buffered page writes to the OS, so that other handles on
+        the file (readers in this or another process) see them; durability
+        is :meth:`sync`'s job."""
         self._check_writable()
         self._file.flush()
+
+    def sync(self) -> None:
+        self.flush()
         os.fsync(self._file.fileno())
         self._save_crc_sidecar()
 

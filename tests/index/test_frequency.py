@@ -27,6 +27,17 @@ class TestBasics:
         assert sorted(table.keywords()) == ["a", "b"]
 
 
+class TestSetCount:
+    def test_updates_in_place_and_zero_drops(self):
+        table = FrequencyTable({"john": 3})
+        table.set_count("ben", 2)
+        table.set_count("john", 4)
+        assert dict(table.items()) == {"john": 4, "ben": 2}
+        table.set_count("john", 0)
+        table.set_count("ghost", 0)
+        assert dict(table.items()) == {"ben": 2} and "john" not in table
+
+
 class TestOrdering:
     def test_rarest_first(self):
         table = FrequencyTable({"common": 1000, "rare": 2, "mid": 30})

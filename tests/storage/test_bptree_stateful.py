@@ -3,10 +3,13 @@
 Hypothesis drives random interleavings of insert / overwrite / delete /
 search / floor / ceiling / scan against a plain dict+sorted-list model;
 any divergence (including after node splits and emptied leaves) fails with
-a minimized command sequence.
+a minimized command sequence.  ``internal_page_ids`` — which stops above
+the leaf level on the strength of the tree being balanced — is held to a
+walk that decodes every node.
 """
 
 import bisect
+import random
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -18,6 +21,17 @@ from repro.storage.pager import Pager
 
 keys_st = st.binary(min_size=1, max_size=6)
 values_st = st.binary(max_size=5)
+
+
+def inner_pages_by_full_walk(tree):
+    pids, stack = [], [tree._root_pid]
+    while stack:
+        pid = stack.pop()
+        node = tree._read_node(pid)
+        if hasattr(node, "children"):
+            pids.append(pid)
+            stack.extend(node.children)
+    return sorted(pids)
 
 
 class BPlusTreeMachine(RuleBasedStateMachine):
@@ -38,7 +52,7 @@ class BPlusTreeMachine(RuleBasedStateMachine):
 
     @rule(key=keys_st, value=values_st)
     def insert(self, key, value):
-        self.tree.insert(key, value)
+        assert self.tree.insert(key, value) == (key not in self.model)
         self.model[key] = value
 
     @rule(key=keys_st)
@@ -74,6 +88,39 @@ class BPlusTreeMachine(RuleBasedStateMachine):
     def values_match_model(self):
         for key, value in self.tree.scan():
             assert self.model[key] == value
+
+
+    @invariant()
+    def inner_pages_match_full_walk(self):
+        assert sorted(self.tree.internal_page_ids()) == inner_pages_by_full_walk(self.tree)
+
+
+def test_internal_page_ids_at_every_height(tmp_path):
+    """Trees of height 1 (the root is a leaf) to 3 and more, grown by
+    inserts with deletions mixed in and by bulk load: the full-walk
+    answer, for the inner pages and one leaf page read."""
+    rng = random.Random(3)
+    heights = set()
+    for count, bulk in ((3, False), (40, False), (400, False), (4000, True)):
+        with Pager(str(tmp_path / f"{count}.db"), page_size=128, create=True) as pager:
+            pool = BufferPool(pager, capacity=4096)
+            tree = BPlusTree(pool, "t")
+            keys = sorted({rng.randrange(10**6).to_bytes(4, "big") for _ in range(count)})
+            if bulk:
+                tree.bulk_load((key, b"v") for key in keys)
+            else:
+                rng.shuffle(keys)
+                for key in keys:
+                    tree.insert(key, b"v")
+                for key in keys[::3]:
+                    tree.delete(key)
+            inner = inner_pages_by_full_walk(tree)
+            heights.add(tree.height)
+            pool.clear()
+            reads = pager.stats.reads
+            assert sorted(tree.internal_page_ids()) == inner
+            assert pager.stats.reads - reads == len(inner) + 1
+    assert {1, 2, 3} <= heights and max(heights) > 3
 
 
 TestBPlusTreeStateful = BPlusTreeMachine.TestCase
