@@ -11,12 +11,14 @@ accounting after each:
   one ``xks_pool_fallback_total`` and one ``xks_pool_worker_deaths_total``
   increment per death, and the pool must respawn back to full size;
 * **storage corruption** — a bit flipped inside a posting block of the
-  packed segments, carried into a new segment file by a commit that
-  copies untouched lists through, is detected by the per-chunk CRC on a
+  packed segments — after a commit whose batch splits scan blocks in
+  place — carried into a new segment file by a commit that copies
+  untouched lists through, is detected by the per-chunk CRC on a
   ``--verify-checksums`` server, counted once in
   ``xks_corruption_detected_total{tier="segment"}``, the segment tier is
   quarantined, and every answer is re-served byte-identical from the
-  B+tree tier; ``xksearch fsck`` flags the same corruption (exit 1);
+  B+tree tier; ``xksearch fsck`` flags the same corruption (exit 1) and
+  nothing else: the split blocks pass its separator check;
 * **overload** — with the admission gate pushed past its hard limit,
   requests shed with ``429`` + ``Retry-After`` (one gate ``shed``
   increment each) and flow again the moment pressure releases;
@@ -43,11 +45,13 @@ import urllib.error
 import urllib.request
 
 from repro.index.builder import build_index
+from repro.index.inverted import DiskKeywordIndex
 from repro.index.segments import open_index_segments, segments_path
 from repro.index.updates import IndexUpdater
 from repro.obs.metrics import get_registry
 from repro.robustness import faultinject
 from repro.robustness.admission import AdmissionGate
+from repro.storage.records import keyword_range
 from repro.xksearch.cli import main as cli_main
 from repro.xksearch.server import ServerMetrics, make_server
 from repro.xksearch.system import XKSearch
@@ -164,7 +168,16 @@ def check_corruption_reanswer(index_dir, reference) -> None:
     a commit that leaves the list alone, so what the server trips over is
     a block the commit carried over from the old file together with its
     stored CRC — neither healed by re-deriving nor blessed by
-    re-checksumming."""
+    re-checksumming.  An earlier commit has split scan blocks in place:
+    fsck must still pin the damage on the one list."""
+    with DiskKeywordIndex(index_dir) as index:
+        nodes = sorted({dewey for kw in index.keywords() for dewey in index.keyword_list(kw)})
+    with IndexUpdater(index_dir) as updater:  # touches no queried keyword
+        for batch in (nodes[:400:2], nodes[1:400:2]):  # the second lands inside the first's blocks
+            assert updater.add_postings({"xksplit": [(dewey, "") for dewey in batch]}) == 200
+    with DiskKeywordIndex(index_dir) as index:
+        blocks = sum(1 for _ in index.scan_tree.scan(*keyword_range("xksplit")))
+    assert blocks >= 4, f"the batch split nothing: {blocks} block(s)"
     path = segments_path(index_dir)
     with open_index_segments(index_dir) as reader:
         start = reader.byte_offset("xkrare")
@@ -173,10 +186,10 @@ def check_corruption_reanswer(index_dir, reference) -> None:
         byte = fh.read(1)[0]
         fh.seek(start)
         fh.write(bytes([byte ^ 0x40]))
-    with IndexUpdater(index_dir) as updater:  # touches no queried keyword
+    with IndexUpdater(index_dir) as updater:
         assert updater.add_postings({"xkchaos": [((0, 0, 0, 0, 0, 0), "title")]}) == 1
     with open_index_segments(index_dir) as reader:
-        assert reader.generation == 1 and "xkchaos" in reader
+        assert reader.generation == 3 and "xkchaos" in reader
         assert reader.byte_offset("xkrare") != start, "the commit rewrote nothing"
 
     before = counter_value("xks_corruption_detected_total", tier="segment")
@@ -200,6 +213,8 @@ def check_corruption_reanswer(index_dir, reference) -> None:
         code = cli_main(["fsck", str(index_dir)])
     assert code == 1, f"fsck exited {code} on a corrupt index"
     assert "segment block" in stdout.getvalue(), stdout.getvalue()
+    errors = [line for line in stdout.getvalue().splitlines() if line.startswith("  - ")]
+    assert errors and all("'xkrare'" in line for line in errors), stdout.getvalue()
     print(
         f"corruption OK: {len(QUERIES)} queries byte-identical from the "
         f"B+tree tier after quarantine, 1 corruption event, fsck caught it"

@@ -10,8 +10,9 @@ Two B+trees are bulk-loaded into one pager file:
 * ``il`` — one entry per posting, keyed ``keyword ⊕ packed-dewey``
   (Figure 5); this is what Indexed Lookup Eager's match lookups descend;
 * ``scan`` — per-keyword runs of *blocks*, each block one B+tree value
-  packing many compressed Dewey numbers (Figure 4); this is what Scan
-  Eager and Stack read sequentially.
+  packing many compressed Dewey numbers (Figure 4), keyed by the IL key
+  of its first posting; this is what Scan Eager and Stack read
+  sequentially.
 
 The builder accepts either a parsed :class:`XMLTree` or raw keyword lists
 (the virtual workloads of the experiment harness build lists directly,
@@ -31,7 +32,7 @@ from repro.obs.logging import get_logger
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
-from repro.storage.records import block_key, pack_tagged_block, posting_key
+from repro.storage.records import keyword_range, pack_tagged_block, posting_key
 from repro.xmltree.codec import (
     DeweyCodec,
     KeyLayout,
@@ -50,6 +51,9 @@ TAGS_NAME = "tags.json"
 INDEX_FILE_NAME = "index.db"
 DOCUMENT_NAME = "document.xml"
 FORMAT_VERSION = 1
+#: How the scan tree's blocks are keyed (:mod:`repro.storage.records`),
+#: recorded in the manifest: the scheme ``IndexUpdater`` edits in place.
+SCAN_KEYS = "first-posting"
 
 _log = get_logger("index")
 
@@ -189,6 +193,7 @@ def build_index(
         "keywords": report.keywords,
         "postings": report.postings,
         "has_document": document_text is not None,
+        "scan_keys": SCAN_KEYS,
     }
     # Imported lazily — repro.xksearch imports this module at package
     # init, so a top-level import would be circular.
@@ -248,20 +253,22 @@ def _iter_block_entries(
     budget: int,
 ) -> Iterator[Tuple[bytes, bytes]]:
     for keyword, plist in encoded_lists.items():
-        seq = 0
+        # A block is keyed by its first posting's IL key; the list's first
+        # block by the bound below all of them, so every posting has a floor.
+        key = keyword_range(keyword)[0]
         block: List[Tuple[bytes, int]] = []
         block_bytes = 0
         for encoded, tag_id in plist:
             entry_bytes = len(encoded) + 3  # length prefix + 2 tag bytes
             if block and block_bytes + entry_bytes > budget:
-                yield block_key(keyword, seq), pack_tagged_block(block)
-                seq += 1
+                yield key, pack_tagged_block(block)
+                key = posting_key(keyword, encoded)
                 block = []
                 block_bytes = 0
             block.append((encoded, tag_id))
             block_bytes += entry_bytes
         if block:
-            yield block_key(keyword, seq), pack_tagged_block(block)
+            yield key, pack_tagged_block(block)
 
 
 def load_level_table(index_dir: Union[str, os.PathLike]) -> LevelTable:

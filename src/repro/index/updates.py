@@ -2,42 +2,50 @@
 
 The paper's system builds its index once; real deployments need to add and
 remove content.  :class:`IndexUpdater` applies posting-level changes to an
-existing index directory, and what it costs follows what changed — the
-lists a batch touches — not the size of the index.
+existing index directory, and what it costs follows the postings that
+change — not the length of their lists, nor the size of the index.
 
-**Applying a change** (``add_postings`` / ``remove_postings``, one
-keyword at a time):
+**Applying a change** (``add_postings`` / ``remove_postings``) is three
+local edits per posting, a keyword's postings in key order:
 
-* the ``il`` tree — the ground truth — takes point inserts/deletes (the
+* the ``il`` tree — the ground truth — takes a point insert/delete (the
   B+tree handles splits; deletion may leave underfull leaves, which scans
   and matches tolerate);
-* then **one pass** over the keyword's IL run brings everything derived
-  from it up to date: the ``scan`` tree's blocks are re-chunked and
-  rewritten (stale tail blocks deleted), the frequency table's count is
-  edited in place, and the keyword's segment keys are kept for
-  ``close()`` — O(|S_kw|) per touched keyword and call, the right trade
-  for an index whose reads vastly outnumber its writes;
-* the page writes are handed to the OS and the index *generation* is
-  bumped, which stales every segment reader at once: when the call
-  returns, an in-process reader serves IL **and** Scan Eager from
-  B+trees that are both current.
+* the ``scan`` tree keys a block like a B+tree separator
+  (:mod:`repro.storage.records`), so the block a posting belongs in is
+  the floor of its IL key — or, with nothing below it in the keyword's
+  range, the block keyed by the range's lower bound.  The record, or just
+  its tag bytes, is spliced into that block's value; a block past its
+  byte budget splits at the midpoint and one that empties is deleted, so
+  blocks end up unevenly full (Figure 4 fixes their format, not their
+  fill) and ``xksearch fsck`` checks the separator invariant instead;
+* the keyword's segment keys — lifted on its first touch out of the
+  retired segment file, and checked against their stored CRCs — take one
+  ``bisect`` insert/pop, and its frequency count moves by one.
+
+The page writes are then handed to the OS and, if a stored value changed
+(a tag counts), the index *generation* is bumped, which stales every
+segment reader and cached result at once: when the call returns, an
+in-process reader serves IL **and** Scan Eager from B+trees that are both
+current.  Only a call that raises half-way costs a pass over a list:
+``close()`` re-derives its keyword's blocks, count and keys from the IL run.
 
 **Committing** (``close()``) writes ``segments.dat``
 (:mod:`repro.index.segments`) for the final generation by **copy-through**:
-the lists the passes re-derived are written afresh, and every untouched
+touched lists from the keys the edits maintained, and every untouched
 list — keys, directory entries and its *stored* CRC words, never
-recomputed — is lifted in whole runs out of the previous file's mapping.
+recomputed — lifted in whole runs out of the previous file's mapping.
 No IL node is read.  The result is byte-identical to a rebuild from the
 whole IL tree, which remains the **cold path** for when the previous file
 cannot be trusted to reflect the trees.  The rule: before its first tree
 write an updater renames ``segments.dat`` to ``segments.dat.base`` (new
-readers fall back to the B+trees; open ones keep their mapping), and at
-``close()`` copies from it only if it is a readable version-3 file in this
-writer's layout, stamped with the generation the updater opened at.  A
-``.base`` found already present was left by an updater that changed the
-trees and never closed; a missing, truncated, older-format or
-otherwise-stamped file predates changes nobody recorded.  All of these
-rebuild in full, and every ``close()`` removes the ``.base``.
+readers fall back to the B+trees; open ones keep their mapping) and uses
+it only if it is a readable version-3 file in this writer's layout,
+stamped with the generation the updater opened at, whose touched lists
+pass their checksums.  A ``.base`` found already present was left by an
+updater that changed the trees and never closed; a missing, truncated,
+older-format or otherwise-stamped file predates changes nobody recorded.
+All of these rebuild in full, and every ``close()`` removes the ``.base``.
 
 **Publishing.**  Readers in other processes watch ``manifest.json``.  So
 ``close()`` first syncs the pages (and their checksum sidecar) and the
@@ -46,11 +54,14 @@ the manifest — each written to a temporary sibling and renamed, so none
 is ever seen half-written and whoever sees the new manifest finds
 everything it describes.
 
-Two constraints are enforced rather than silently broken:
+Three constraints are enforced rather than silently broken:
 
 * new Dewey numbers must fit the existing level table — widening a level
   would change every packed encoding on disk, so the updater raises and
   the caller must rebuild (``build_index``) instead;
+* an index whose manifest does not record the scan-key scheme above keys
+  its blocks by sequence number, which cannot be edited in place: the
+  updater refuses it (rebuild); readers serve either scheme;
 * a stored ``document.xml`` no longer matches an updated index, so the
   updater deletes it and flags the manifest.
 """
@@ -60,6 +71,7 @@ from __future__ import annotations
 import json
 import os
 from array import array
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import DeweyError, IndexFormatError
@@ -68,6 +80,7 @@ from repro.index.builder import (
     FREQUENCY_NAME,
     INDEX_FILE_NAME,
     MANIFEST_NAME,
+    SCAN_KEYS,
     TAGS_NAME,
     _default_block_budget,
     key_layout,
@@ -81,7 +94,13 @@ from repro.obs.logging import get_logger
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager, write_json_atomic
-from repro.storage.records import block_key, keyword_range, pack_block, posting_key
+from repro.storage.records import (
+    block_midpoint,
+    find_record,
+    first_encoding,
+    keyword_range,
+    pack_block,
+)
 from repro.xksearch.cache import bump_generation, current_generation, seed_generation
 from repro.xmltree.dewey import DeweyTuple
 from repro.xmltree.tree import Node, TEXT_TAG
@@ -106,6 +125,11 @@ class IndexUpdater:
     def __init__(self, index_dir: Union[str, os.PathLike]):
         self.index_dir = os.fspath(index_dir)
         self.manifest = load_manifest(self.index_dir)
+        if self.manifest.get("scan_keys") != SCAN_KEYS:
+            raise IndexFormatError(
+                f"index at {self.index_dir} does not key its scan blocks by their "
+                "first posting, so they cannot be edited in place; rebuild it"
+            )
         self.level_table = load_level_table(self.index_dir)
         self.codec = make_codec(self.manifest["codec"], self.level_table)
         self._key_layout = key_layout(self.manifest["codec"], self.level_table)
@@ -127,6 +151,8 @@ class IndexUpdater:
         self._budget = _default_block_budget(self.manifest["page_size"])
         self._closed = False
         self._postings_delta = 0
+        #: Whether any stored value (a posting or its tag) has changed.
+        self._changed = False
         # Join the process-wide generation domain for this index directory,
         # starting from whatever the manifest last persisted.
         self._opened_generation = seed_generation(
@@ -137,13 +163,14 @@ class IndexUpdater:
         self._writes_segments = self._key_layout is not None and (
             "segments" in self.manifest or os.path.exists(self._segments_path)
         )
-        #: Whether this updater moved the segment file to ``_base_path``.
-        self._has_base: Optional[bool] = None
+        self._retired = False
+        #: The segment file, retired to ``_base_path``, while it is trusted.
+        self._base: Optional[SegmentReader] = None
         #: Keywords whose IL run may differ from the base segment file →
-        #: their segment keys as of the last pass over the run.
+        #: their segment keys, edited in step with the run.
         self._touched: Dict[str, array] = {}
-        #: Keywords with IL writes since their last pass (non-empty only
-        #: while a call runs, or after one raised half-way).
+        #: Keywords whose scan blocks, count and keys may lag their IL run
+        #: (non-empty only while a call runs, or after one raised half-way).
         self._stale: Set[str] = set()
 
     # -- change application ------------------------------------------------------
@@ -156,30 +183,19 @@ class IndexUpdater:
         number does not fit the index's level table (rebuild instead).
         """
         self._retire_segments()
-        added = 0
-        for keyword, postings in changes.items():
-            kw = keyword.lower()
-            merged: Dict[DeweyTuple, int] = {}
+        batches: Dict[str, Dict[bytes, bytes]] = {}
+        for keyword, postings in changes.items():  # all checked before any is applied
+            merged = batches.setdefault(keyword.lower(), {})
             for dewey, tag in postings:
                 self.level_table.check_fits(dewey)
-                merged[dewey] = self._tag_id(tag)
-            self._stale.add(kw)
-            for dewey, tag_id in merged.items():
-                key = posting_key(kw, self.codec.encode(dewey))
-                added += self._il.insert(key, tag_id.to_bytes(2, "big"))
-            self._rederive(kw)
-        self._postings_delta += added
-        self._pager.flush()  # before the bump sends in-process readers to the trees
-        if added:
-            # Stale every cached query result computed against the old
-            # contents (see repro.xksearch.cache).
-            generation = bump_generation(self.index_dir)
-            _log.info(
-                "postings_added",
-                added=added,
-                keywords=len(changes),
-                generation=generation,
-            )
+                merged[self.codec.encode(dewey)] = self._tag_id(tag).to_bytes(2, "big")
+        added = 0
+        changed = False
+        for keyword, merged in batches.items():
+            count, rewritten = self._apply(keyword, merged)
+            added += count
+            changed |= rewritten
+        self._announce("postings_added", added, changed, len(changes))
         return added
 
     def remove_postings(
@@ -189,25 +205,14 @@ class IndexUpdater:
         self._retire_segments()
         removed = 0
         for keyword, deweys in changes.items():
-            kw = keyword.lower()
-            self._stale.add(kw)
+            doomed: Dict[bytes, None] = {}
             for dewey in deweys:
                 try:
-                    encoded = self.codec.encode(dewey)
+                    doomed[self.codec.encode(dewey)] = None
                 except DeweyError:
                     continue  # cannot be in the index at all
-                removed += self._il.delete(posting_key(kw, encoded))
-            self._rederive(kw)
-        self._postings_delta -= removed
-        self._pager.flush()
-        if removed:
-            generation = bump_generation(self.index_dir)
-            _log.info(
-                "postings_removed",
-                removed=removed,
-                keywords=len(changes),
-                generation=generation,
-            )
+            removed -= self._apply(keyword.lower(), doomed)[0]
+        self._announce("postings_removed", -removed, removed > 0, len(changes))
         return removed
 
     def add_subtree(self, node: Node) -> int:
@@ -252,87 +257,158 @@ class IndexUpdater:
             self._tags.append(tag)
         return self._tag_ids[tag]
 
-    def _rederive(self, keyword: str) -> None:
-        """Bring everything derived from *keyword*'s IL run up to date, in
-        one pass over the run: its scan-tree blocks (re-chunked), its
-        frequency count and — for ``close()`` — its segment keys."""
-        lo, hi = keyword_range(keyword)
-        prefix = len(lo)
-        keys = key_of = None
-        if self._writes_segments:
-            keys = array(self._key_layout.typecode)
-            key_of = self._key_layout.key_of_encoding
-        budget = self._budget
-        count = seq = block_bytes = 0
-        block: List[bytes] = []
-        for key, tag in self._il.scan(lo, hi):
-            encoded = key[prefix:]
-            entry_bytes = len(encoded) + 3  # length prefix + 2 tag bytes
-            if block and block_bytes + entry_bytes > budget:
-                self._scan.insert(block_key(keyword, seq), pack_block(block))
-                seq += 1
-                block = []
-                block_bytes = 0
-            # A tagged-block record (records.pack_tagged_block): the
-            # encoding, then the two tag bytes exactly as the IL tree
-            # stores them.
-            block.append(encoded + tag)
-            block_bytes += entry_bytes
-            count += 1
-            if keys is not None:
-                keys.append(key_of(encoded))
-        if block:
-            self._scan.insert(block_key(keyword, seq), pack_block(block))
-            seq += 1
-        # Blocks are numbered densely from 0: what the old run had beyond
-        # the new one is deleted until the first miss.
-        while self._scan.delete(block_key(keyword, seq)):
-            seq += 1
-        self.frequency.set_count(keyword, count)
-        if keys is not None:
-            self._touched[keyword] = keys
+    def _apply(
+        self, keyword: str, changes: Mapping[bytes, Optional[bytes]]
+    ) -> Tuple[int, bool]:
+        """Apply one keyword's changes — Dewey encoding → tag bytes to
+        store, or ``None`` to remove the posting — to the IL tree, the
+        scan block each falls in, the segment keys and the count.
+        Returns (postings added minus removed, whether any stored value
+        changed)."""
+        lo, _ = keyword_range(keyword)
+        keys = self._segment_keys(keyword)
+        self._stale.add(keyword)
+        # Block key -> [stored value, (encoding, tag, step), ...], step
+        # being +1 for a new posting, 0 for a tag rewritten, -1 for a
+        # removal: in key order, so a block's edits share one read and write.
+        edits: Dict[bytes, list] = {}
+        for encoded in sorted(changes):
+            tag = changes[encoded]
+            key = lo + encoded  # posting_key(keyword, encoded)
+            if tag is not None:
+                step = int(self._il.insert(key, tag))
+            elif self._il.delete(key):
+                step = -1
+            else:
+                continue
+            floor = self._scan.floor_entry(key)
+            if floor is None or floor[0] < lo:
+                floor = (lo, b"")
+            edits.setdefault(floor[0], [floor[1]]).append((encoded, tag, step))
+        count = 0
+        changed = False
+        for block_key, (stored, *postings) in edits.items():
+            block = stored
+            for encoded, tag, step in postings:
+                start, end = find_record(block, encoded)
+                if (end > start) == (step > 0):
+                    raise IndexFormatError(
+                        f"scan tree out of step with the il tree for {keyword!r}"
+                    )
+                record = pack_block([encoded + tag]) if tag is not None else b""
+                block = block[:start] + record + block[end:]
+                count += step
+                if keys is not None and step:
+                    segment_key = self._key_layout.key_of_encoding(encoded)
+                    at = bisect_left(keys, segment_key)
+                    if step > 0:
+                        keys.insert(at, segment_key)
+                    else:
+                        del keys[at]
+            if block != stored:
+                changed = True
+                self._store_block(lo, block_key, block)
+        self.frequency.set_count(keyword, self.frequency.frequency(keyword) + count)
         self._stale.discard(keyword)
+        return count, changed
+
+    def _store_block(self, lo: bytes, key: bytes, block: bytes) -> None:
+        """Write *block* under *key*: over the budget it splits at the
+        midpoint, the upper half keyed by its first posting's IL key (*lo*,
+        the keyword's range bound, plus the encoding); empty, it goes."""
+        mid = block_midpoint(block) if len(block) > self._budget else len(block)
+        if mid < len(block):
+            upper = block[mid:]
+            self._store_block(lo, key, block[:mid])
+            self._store_block(lo, lo + first_encoding(upper), upper)
+        elif block:
+            self._scan.insert(key, block)
+        else:
+            self._scan.delete(key)
+
+    def _repair(self, keyword: str) -> None:
+        """Re-derive everything kept in step with *keyword*'s IL run — its
+        scan blocks, count and segment keys — in one pass over the run:
+        what ``close()`` does for a keyword a failed call left behind."""
+        lo, hi = keyword_range(keyword)
+        for key in [key for key, _ in self._scan.scan(lo, hi)]:
+            self._scan.delete(key)
+        records = [key[len(lo):] + tag for key, tag in self._il.scan(lo, hi)]
+        self._store_block(lo, lo, pack_block(records))
+        self.frequency.set_count(keyword, len(records))
+        if keyword in self._touched:
+            key_of = self._key_layout.key_of_encoding
+            self._touched[keyword] = array(
+                self._key_layout.typecode, (key_of(record[:-2]) for record in records)
+            )
+        self._stale.discard(keyword)
+
+    def _announce(self, event: str, count: int, changed: bool, keywords: int) -> None:
+        """End a call: flush, then — if a stored value changed — bump the
+        generation, which stales every cached query result (see
+        :mod:`repro.xksearch.cache`) and sends in-process readers to the
+        trees the flush just made current."""
+        self._postings_delta += count
+        self._pager.flush()
+        if changed:
+            self._changed = True
+            generation = bump_generation(self.index_dir)
+            _log.info(event, postings=abs(count), keywords=keywords, generation=generation)
 
     # -- segments ------------------------------------------------------------------
 
     def _retire_segments(self) -> None:
-        """Before the first tree write, move the segment file out of service.
+        """Before the first tree write, move the segment file out of
+        service and open it as the base.
 
         New readers then find no file and use the B+trees (open readers
         keep their mapping of it, stale-stamped by the generation bump),
-        and the move doubles as this updater's claim on the file:
-        ``close()`` copies untouched lists out of it and deletes it.  A
+        and the move doubles as this updater's claim on the file.  A
         ``.base`` already there was left by an updater that changed the
-        trees and never closed, so no segment file on disk reflects them
-        any more; it stays as that marker until some ``close()`` has
-        rebuilt the segments in full.
+        trees and never closed: no file on disk reflects them any more,
+        and it stays as that marker until a ``close()`` has rebuilt in full.
         """
-        if self._has_base is not None or not self._writes_segments:
+        if self._retired or not self._writes_segments:
             return
+        self._retired = True
         try:
             if os.path.exists(self._base_path):
-                self._has_base = False
                 os.remove(self._segments_path)
-            else:
-                os.replace(self._segments_path, self._base_path)
-                self._has_base = True
+                return
+            os.replace(self._segments_path, self._base_path)
         except FileNotFoundError:
-            self._has_base = False
-
-    def _open_base(self) -> Optional[SegmentReader]:
-        """The retired segment file, if its untouched lists are current:
-        readable, and stamped with the generation this updater opened at
-        (anything else predates changes this updater knows nothing of)."""
-        if not self._has_base:
-            return None
+            return
         try:
             base = SegmentReader(self._base_path, self._key_layout)
         except (OSError, IndexFormatError):
-            return None
-        if base.generation != self._opened_generation:
+            return
+        # Stamped otherwise, it predates changes this updater knows nothing of.
+        if base.generation == self._opened_generation:
+            self._base = base
+        else:
             base.close()
+
+    def _segment_keys(self, keyword: str) -> Optional[array]:
+        """*keyword*'s segment keys, for the edits to keep in step with
+        its IL run: on the first touch, the base file's.  ``None`` without
+        a trusted base (``close()`` then rebuilds from the IL tree)."""
+        if self._base is None:
             return None
-        return base
+        keys = self._touched.get(keyword)
+        if keys is None:
+            keys = array(self._key_layout.typecode)
+            if keyword in self._base:
+                if self._base.corrupt_chunks(keyword):
+                    # Copied as it is, the damage would leave the commit
+                    # freshly checksummed: one bad list condemns the file.
+                    _log.warning("segments_base_unusable", error=f"{keyword!r} fails its checksums")
+                    self._base.close()
+                    self._base = None
+                    self._touched.clear()
+                    return None
+                keys.frombytes(self._base.keys(keyword).cast("B"))
+            self._touched[keyword] = keys
+        return keys
 
     def _il_keys(self, keyword: str) -> Iterable[int]:
         """One keyword's segment keys straight from the IL tree: its key
@@ -344,25 +420,24 @@ class IndexUpdater:
     def _write_segments(self, generation: int) -> dict:
         """Write the segment file for *generation*; returns its manifest entry.
 
-        Touched lists come from the passes the mutations already made,
-        all others are copied out of the retired base file.  Without a
-        base that can be trusted the file is rebuilt from the whole IL
-        tree — the cold path.  Either way it lands by atomic rename:
-        live readers keep their mapping of the old file and pick the new
-        one up on their next generation-driven refresh.
+        Touched lists come from the keys the edits maintained, all others
+        are copied out of the retired base file.  Without a base that can
+        be trusted the file is rebuilt from the whole IL tree — the cold
+        path.  Either way it lands by atomic rename: live readers keep
+        their mapping of the old file and pick the new one up on their
+        next generation-driven refresh.
         """
         self._retire_segments()
         by_bytes = str.encode  # the directory's order: keywords as UTF-8
-        base = self._open_base()
         try:
-            if base is not None:
+            if self._base is not None:
                 try:
                     return write_index_segments(
                         self.index_dir,
                         ((kw, self._touched[kw]) for kw in sorted(self._touched, key=by_bytes)),
                         generation,
                         self._key_layout,
-                        base,
+                        self._base,
                     )
                 except IndexFormatError as exc:
                     _log.warning("segments_base_unusable", error=repr(exc))
@@ -376,8 +451,8 @@ class IndexUpdater:
                 self._key_layout,
             )
         finally:
-            if base is not None:
-                base.close()
+            if self._base is not None:
+                self._base.close()
             if os.path.exists(self._base_path):
                 os.remove(self._base_path)
 
@@ -394,10 +469,11 @@ class IndexUpdater:
         if self._closed:
             return
         if self._stale:
-            # A call raised between a tree write and its pass: finish its
-            # work, and announce the writes it never got to announce.
+            # A call raised between its tree writes: finish its work, and
+            # announce the writes it never got to announce.
             for keyword in sorted(self._stale):
-                self._rederive(keyword)
+                self._repair(keyword)
+            self._changed = True
             bump_generation(self.index_dir)
         self.manifest["keywords"] = len(self.frequency)
         self.manifest["postings"] = self.manifest.get("postings", 0) + self._postings_delta
@@ -408,7 +484,7 @@ class IndexUpdater:
         self.frequency.save(os.path.join(self.index_dir, FREQUENCY_NAME))
         write_json_atomic(os.path.join(self.index_dir, TAGS_NAME), self._tags)
         document_path = os.path.join(self.index_dir, DOCUMENT_NAME)
-        if self._postings_delta != 0 and os.path.exists(document_path):
+        if self._changed and os.path.exists(document_path):
             # The stored document no longer matches the index contents.
             os.remove(document_path)
             self.manifest["has_document"] = False

@@ -8,7 +8,11 @@ structure against the others:
 * every IL posting parses — valid composite key, decodable Dewey number
   that fits the level table, in-range tag id — and keys ascend globally;
 * the scan tree's blocks, decoded, reproduce *exactly* the IL tree's
-  postings per keyword (same Dewey numbers, same tags, same order);
+  postings per keyword (same Dewey numbers, same tags, same order), and
+  — in an index that keys them by their first posting, the scheme
+  :class:`~repro.index.updates.IndexUpdater` edits in place — every
+  block is non-empty, fits a page, and sits under a key that is at most
+  its first posting and above the previous block's last;
 * the frequency table matches the actual list lengths, with no phantom or
   missing keywords.
 
@@ -35,9 +39,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
 from repro.errors import ReproError
-from repro.index.builder import load_manifest
+from repro.index.builder import SCAN_KEYS, load_manifest
 from repro.index.inverted import DiskKeywordIndex
-from repro.storage.records import split_posting_key
+from repro.storage.records import keyword_range, split_posting_key, unpack_tagged_block
 from repro.xmltree.dewey import DeweyTuple
 
 
@@ -275,6 +279,30 @@ def _check_scan_blocks(
         deweys = [dewey for dewey, _ in scanned]
         if deweys != sorted(set(deweys)):
             report._fail(f"scan blocks for {keyword!r} not strictly sorted")
+        if index.manifest.get("scan_keys") == SCAN_KEYS:
+            problem = _block_key_violation(index, keyword)
+            if problem:
+                report._fail(f"scan block keys for {keyword!r}: {problem}")
+
+
+def _block_key_violation(index: DiskKeywordIndex, keyword: str) -> str:
+    """The first breach of the separator invariant among *keyword*'s
+    blocks ("" if none): what lets the updater find a posting's block by
+    the floor of its IL key."""
+    lo, hi = keyword_range(keyword)
+    last = None  # IL key of the previous block's last posting
+    for number, (key, value) in enumerate(index.scan_tree.scan(lo, hi)):
+        encodings = [encoded for encoded, _ in unpack_tagged_block(value)]
+        if not encodings:
+            return f"block {number} is empty"
+        if len(key) + len(value) > index.scan_tree.page_capacity:
+            return f"block {number} does not fit a page"
+        if key > lo + encodings[0]:
+            return f"block {number} is keyed above its first posting"
+        if last is not None and key <= last:
+            return f"block {number} is keyed at or below the previous block's last posting"
+        last = lo + encodings[-1]
+    return ""
 
 
 def _check_frequencies(

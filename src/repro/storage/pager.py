@@ -299,7 +299,10 @@ class Pager:
         pages appended since this pager was opened.
         """
         self._read_header()
-        size = os.fstat(self._file.fileno()).st_size
+        # A seek from the end also drops the file object's read-ahead
+        # buffer (one inside the buffer would keep it), which may hold
+        # neighbours of the last page read as they were before the change.
+        size = self._file.seek(0, os.SEEK_END)
         self._num_pages = max(1, size // self.page_size)
         self._last_read_pid = None
         # The writer that changed the file also rewrote the sidecar.

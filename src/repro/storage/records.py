@@ -1,13 +1,27 @@
 """Order-preserving record encodings for the index B+trees.
 
 The IL index keys every posting with ``keyword ⊕ dewey`` (the paper's
-Figure 5: keywords are the primary key, Dewey numbers the secondary key);
-the scan index keys blocks with ``keyword ⊕ block-sequence-number``
-(Figure 4).  Both composites must compare bytewise in (keyword, suffix)
-order, which holds because keywords are NUL-free and the separator is a
-single NUL byte: no keyword is a prefix of another *plus separator*, and
-within one keyword the suffix (an order-preserving Dewey encoding or a
-fixed-width big-endian counter) decides.
+Figure 5: keywords are the primary key, Dewey numbers the secondary key).
+The scan index (Figure 4) keys each block of a keyword's list with the
+same composite, as a B+tree-style *separator*: a keyword's first block is
+built under the lower bound of :func:`keyword_range`, every later block
+under the :func:`posting_key` of the posting that was its first when the
+block was created.  So ``block key <= its first posting < next block's
+key`` — the block a posting belongs in is the floor of its IL key — while
+a range scan of ``keyword_range`` still yields the list's blocks in
+order, which is all a reader relies on.  (Indexes built before this
+scheme key blocks ``keyword ⊕ 4-byte sequence number``; they read the
+same way.)
+
+The composites must compare bytewise in (keyword, suffix) order, which
+holds because keywords are NUL-free and the separator is a single NUL
+byte: no keyword is a prefix of another *plus separator*, and within one
+keyword the suffix (an order-preserving Dewey encoding) decides.
+
+A block's value is a run of length-prefixed records, each a Dewey
+encoding followed by two context-tag bytes; :func:`find_record`,
+:func:`block_midpoint` and :func:`first_encoding` let the updater edit
+and split one in place.
 """
 
 from __future__ import annotations
@@ -48,11 +62,6 @@ def keyword_range(keyword: str) -> Tuple[bytes, bytes]:
     return prefix + _SEP, prefix + b"\x01"
 
 
-def block_key(keyword: str, seq: int) -> bytes:
-    """Composite key for one block of the scan tree."""
-    return encode_keyword(keyword) + _SEP + seq.to_bytes(4, "big")
-
-
 def pack_tagged_block(entries: list) -> bytes:
     """Pack (dewey encoding, tag id) pairs into one block value.
 
@@ -70,6 +79,34 @@ def unpack_tagged_block(data: bytes) -> list:
             raise IndexFormatError("tagged block record too short")
         out.append((record[:-2], int.from_bytes(record[-2:], "big")))
     return out
+
+
+def find_record(block: bytes, encoding: bytes) -> Tuple[int, int]:
+    """The byte span of *encoding*'s record in a tagged block: ``(start,
+    end)`` of the record holding exactly *encoding*, or the empty span
+    ``(start, start)`` at the offset where it belongs."""
+    pos = 0
+    while pos < len(block):
+        end = pos + 1 + block[pos]
+        found = block[pos + 1:end - 2]
+        if found >= encoding:
+            return pos, end if found == encoding else pos
+        pos = end
+    return pos, pos
+
+
+def first_encoding(block: bytes) -> bytes:
+    """The Dewey encoding of a non-empty tagged block's first record."""
+    return block[1:block[0] - 1]
+
+
+def block_midpoint(block: bytes) -> int:
+    """The first record boundary at or past the byte midpoint that leaves
+    a record on both sides; ``len(block)`` when there is just one record."""
+    pos = 1 + block[0]
+    while pos < len(block) // 2 and pos + 1 + block[pos] < len(block):
+        pos += 1 + block[pos]
+    return pos
 
 
 def pack_block(dewey_encodings: list) -> bytes:

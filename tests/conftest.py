@@ -5,9 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.xmltree.generate import dblp_like_tree, plant_keywords, school_tree
+
+
+#: ``pytest --hypothesis-profile=ci`` (the CI tests job): four times the
+#: default examples for every test that does not pin its own count — the
+#: stateful commit test (tests/index/test_commit.py) scales with it.
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 @pytest.fixture

@@ -1,22 +1,31 @@
 """What a commit costs and what it leaves on disk.
 
-``IndexUpdater.close()`` copies every untouched keyword's keys and stored
-CRC words out of the previous ``segments.dat`` and re-derives only the
-touched lists; the full rebuild from the IL tree is its cold path.  These
-tests pin the contract of that split:
+``IndexUpdater`` edits, per changed posting, the IL leaf, the one scan
+block the posting falls in and the keyword's segment keys (lifted from
+the previous ``segments.dat``); ``close()`` copies every untouched
+keyword's keys and stored CRC words out of that file.  The full rebuild
+from the IL tree is its cold path, the pass over one keyword's IL run its
+repair for a call that raised half-way.  These tests pin the contract:
 
-* after any commit sequence the file is **byte-identical** to a full
-  rebuild from the IL tree at the same generation, ``fsck`` (which
-  cross-checks segment keys against the IL tree) is clean, and answers
-  equal the brute-force oracle;
+* after any commit sequence the segment file is **byte-identical** to a
+  full rebuild from the IL tree at the same generation, ``fsck`` (which
+  cross-checks segment keys against the IL tree and every scan block's
+  key against its postings) is clean, and answers equal the brute-force
+  oracle;
+* after every call — blocks split over and over, first/middle/last
+  blocks emptied, keywords dropped and re-created, postings put below a
+  list's first, tags rewritten — the scan blocks hold exactly the IL run,
+  which is exactly the model;
 * a base that cannot be trusted — stale stamp, old format, truncated,
   missing, or left behind by an updater that never closed — sends the
   next commit down the cold path, with the same bytes as the result;
 * copied CRCs are copied, not recomputed: damage in an untouched list of
-  the base is still caught after the commit;
-* noise-free cost guards: a commit reads IL nodes in proportion to the
-  touched runs, and opening or refreshing a reader reads the inner nodes
-  plus one leaf per tree;
+  the base is still caught after the commit, and damage in a touched one
+  condemns the base rather than being checksummed afresh;
+* noise-free cost guards: a commit reads and writes tree nodes in
+  proportion to the postings it changes, whatever the length of their
+  lists, and opening or refreshing a reader reads the inner nodes plus
+  one leaf per tree;
 * between a mutation and ``close()`` an in-process reader answers from
   the B+tree tier, scan tree included.
 """
@@ -25,25 +34,30 @@ import itertools
 import json
 import os
 import random
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro.index.updates as updates_module
 from repro.core.brute import slca_by_containment
 from repro.core.indexed_lookup import eager_slca
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, IndexFormatError
 from repro.index.builder import build_index, key_layout, load_level_table, load_manifest
 from repro.index.inverted import DiskKeywordIndex
 from repro.index.segments import open_index_segments, segments_path, write_segments
 from repro.index.updates import IndexUpdater
 from repro.index.verify import fsck_index
+from repro.storage.bptree import BPlusTree
 from repro.storage.pager import Pager
-from repro.storage.records import keyword_range, split_posting_key
+from repro.storage.records import keyword_range, split_posting_key, unpack_tagged_block
 from repro.xksearch.cache import current_generation
 from repro.xmltree.level_table import LevelTable
 
@@ -219,6 +233,21 @@ class TestCopyThrough:
             assert index.keyword_list("ka") == sorted(model["ka"])
             assert index.frequency("ka") == len(model["ka"])
 
+    def test_scan_tree_out_of_step_is_reported_then_repaired_by_close(self, tmp_path):
+        """An updater that died between an IL write and its block edit
+        leaves a posting without a record; the next edit of that posting
+        must not guess, and ``close()`` re-derives the keyword's blocks."""
+        index_dir = build(tmp_path)
+        posting = initial_lists()["ka"][0]
+        with pytest.raises(IndexFormatError, match="out of step"):
+            with IndexUpdater(index_dir) as updater:
+                assert updater._scan.delete(keyword_range("ka")[0])  # the list's first block
+                updater.remove_postings({"ka": [posting]})
+        assert fsck_index(index_dir).ok
+        assert segment_bytes(index_dir) == full_rebuild(index_dir, tmp_path)
+        with DiskKeywordIndex(index_dir) as index:
+            assert index.keyword_list("ka") == initial_lists()["ka"][1:]
+
     def test_updater_without_changes_leaves_the_same_file(self, tmp_path, write_paths):
         index_dir = build(tmp_path)
         before = segment_bytes(index_dir)
@@ -226,6 +255,148 @@ class TestCopyThrough:
             pass
         assert segment_bytes(index_dir) == before
         assert write_paths == [True]
+
+
+# -- block edits, call by call ---------------------------------------------------
+
+TAGS = ("", "title", "author")
+
+
+class BlockEdits(RuleBasedStateMachine):
+    """One index under a sequence of updater calls and commits, against a
+    model ``{keyword: {dewey: tag}}``.  Pages are 256 bytes, so a scan
+    block holds about twenty postings and "kb" starts with ten blocks."""
+
+    def __init__(self):
+        super().__init__()
+        self.tmp_path = Path(tempfile.mkdtemp(prefix="block-edits-"))
+        self.index_dir = build(self.tmp_path)
+        self.model = {kw: dict.fromkeys(nodes, "") for kw, nodes in initial_lists().items()}
+        self.model.update((kw, {}) for kw in VOCABULARY if kw not in self.model)
+        self.updater = IndexUpdater(self.index_dir)
+        # Every tag is in the dictionary before the first check: a reader
+        # loads tags.json, which only close() rewrites.
+        self.call("add", "zz", dict(zip(UNIVERSE[:3], TAGS)))
+        self.commit()
+        self.reader = DiskKeywordIndex(self.index_dir, use_segments=False)
+
+    def teardown(self):
+        self.reader.close()
+        self.updater.close()
+        shutil.rmtree(self.tmp_path, ignore_errors=True)
+
+    def call(self, op, keyword, postings):
+        """One updater call; *postings* is ``{dewey: tag}`` (tags ignored
+        by a remove).  Its count and its generation bump must match what
+        the model says changed."""
+        have = self.model[keyword]
+        generation = current_generation(self.index_dir)
+        if op == "add":
+            fresh = sum(1 for dewey in postings if dewey not in have)
+            changed = any(have.get(dewey) != tag for dewey, tag in postings.items())
+            assert self.updater.add_postings({keyword: list(postings.items())}) == fresh
+            have.update(postings)
+        else:
+            doomed = [dewey for dewey in postings if dewey in have]
+            changed = bool(doomed)
+            assert self.updater.remove_postings({keyword: list(postings)}) == len(doomed)
+            for dewey in doomed:
+                del have[dewey]
+        assert current_generation(self.index_dir) == generation + changed
+
+    def blocks(self, keyword):
+        """The keyword's scan blocks as lists of Dewey numbers."""
+        self.reader.generation()
+        decode = self.reader.codec.decode
+        return [
+            [decode(encoded) for encoded, _ in unpack_tagged_block(value)]
+            for _, value in self.reader.scan_tree.scan(*keyword_range(keyword))
+        ]
+
+    keywords = st.sampled_from(VOCABULARY)
+    nodes = st.lists(st.sampled_from(UNIVERSE), min_size=1, max_size=6, unique=True)
+
+    @rule(keyword=keywords, nodes=nodes, tag=st.sampled_from(TAGS))
+    def add(self, keyword, nodes, tag):
+        self.call("add", keyword, dict.fromkeys(nodes, tag))
+
+    @rule(keyword=keywords, nodes=nodes)
+    def remove(self, keyword, nodes):
+        self.call("remove", keyword, dict.fromkeys(nodes))
+
+    @rule(keyword=keywords, start=st.integers(0, len(UNIVERSE) - 80))
+    def split_a_block_repeatedly(self, keyword, start):
+        """Eighty neighbours land in the same block or two, four blocks'
+        worth; the second call lands inside what the first one split."""
+        for run in (UNIVERSE[start:start + 80:2], UNIVERSE[start + 1:start + 80:2]):
+            self.call("add", keyword, dict.fromkeys(run, "title"))
+        assert len(self.blocks(keyword)) >= 4
+
+    @rule(keyword=st.sampled_from(BUILT), which=st.sampled_from((0, 0.5, 1)))
+    def empty_a_block(self, keyword, which):
+        blocks = self.blocks(keyword)
+        if blocks:
+            self.call("remove", keyword, dict.fromkeys(blocks[int(which * (len(blocks) - 1))]))
+            assert len(self.blocks(keyword)) == len(blocks) - 1
+
+    @rule(keyword=keywords, nodes=nodes)
+    def empty_and_recreate_a_keyword(self, keyword, nodes):
+        self.call("remove", keyword, dict(self.model[keyword]))
+        assert self.blocks(keyword) == []
+        self.call("add", keyword, dict.fromkeys(nodes, "author"))
+
+    @rule(keyword=st.sampled_from(BUILT))
+    def insert_below_the_first_posting(self, keyword):
+        """With the first block gone, nothing in the keyword's range is
+        below the document root's key: a block keyed by the lower bound
+        is created again, in front of blocks keyed by their postings."""
+        blocks = self.blocks(keyword)
+        if len(blocks) > 1:
+            self.call("remove", keyword, dict.fromkeys(blocks[0]))
+            self.call("add", keyword, {UNIVERSE[0]: ""})
+            assert self.blocks(keyword)[:2] == [[UNIVERSE[0]], blocks[1]]
+
+    @rule(keyword=keywords, tag=st.sampled_from(TAGS), step=st.integers(1, 7))
+    def change_tags_only(self, keyword, tag, step):
+        self.call("add", keyword, dict.fromkeys(sorted(self.model[keyword])[::step], tag))
+
+    @rule()
+    def commit(self):
+        self.updater.close()
+        assert_committed(self.index_dir, self.tmp_path, self.model)
+        self.updater = IndexUpdater(self.index_dir)
+
+    @invariant()
+    def trees_agree_with_the_model(self):
+        reader = self.reader
+        reader.generation()  # an in-process bump reloads the handle
+        for keyword, have in self.model.items():
+            lo, hi = keyword_range(keyword)
+            il_run = [
+                (key[len(lo):], int.from_bytes(tag, "big"))
+                for key, tag in reader.il_tree.scan(lo, hi)
+            ]
+            scan_run = [
+                posting
+                for _, value in reader.scan_tree.scan(lo, hi)
+                for posting in unpack_tagged_block(value)
+            ]
+            assert scan_run == il_run
+            assert list(reader.scan_tagged(keyword)) == sorted(have.items())
+        # Scan Eager mid-update reads the blocks just edited.  (The handle
+        # sizes its cursors from frequency.json, which close() rewrites.)
+        for pair in (("ka", "kb"), ("kb", "kc")):
+            if all(self.model[kw] and reader.frequency(kw) for kw in pair):
+                want = sorted(slca_by_containment([sorted(self.model[kw]) for kw in pair]))
+                assert list(eager_slca(reader.sources_for(pair, "scan"))) == want
+
+
+TestBlockEdits = BlockEdits.TestCase
+#: An eighth of the active profile's examples: a dozen by default, fifty
+#: under the ``ci`` profile (``tests/conftest.py``) the CI tests job selects.
+TestBlockEdits.settings = settings(
+    max_examples=settings.default.max_examples // 8, stateful_step_count=12, deadline=None
+)
 
 
 # -- the cold path: bases that must not be copied from --------------------------
@@ -344,6 +515,24 @@ class TestColdPath:
         assert any("segment/il divergence for 'kb'" in error for error in errors)
 
 
+    def test_damage_in_a_touched_list_condemns_the_base(self, tmp_path, write_paths):
+        """A touched list's keys are lifted from the base and written with
+        fresh CRCs, so they are checked against the stored ones first."""
+        index_dir = build(tmp_path)
+        with open_index_segments(index_dir) as reader:
+            offset = reader.byte_offset("kb")
+        with open(segments_path(index_dir), "r+b") as fh:
+            fh.seek(offset)
+            byte = fh.read(1)[0]
+            fh.seek(offset)
+            fh.write(bytes([byte ^ 0x40]))
+        with IndexUpdater(index_dir) as updater:
+            updater.add_postings({"ka": [((0, 3, 3, 3, 3), "")], "kb": [((0, 3, 3, 3, 3), "")]})
+        assert write_paths == [False]
+        assert segment_bytes(index_dir) == full_rebuild(index_dir, tmp_path)
+        assert fsck_index(index_dir).ok
+
+
 # -- publish order ---------------------------------------------------------------
 
 
@@ -387,41 +576,61 @@ class TestPublishOrder:
 # -- cost guards (counts, not clocks) -------------------------------------------
 
 
-TOUCHED = ("t1", "t2", "t3")
-
-
 @pytest.fixture(scope="module")
 def big_index(tmp_path_factory):
-    """>= 50k postings in small pages: three 300-entry lists among 50 of 1000."""
+    """>= 80k postings in small pages: a 300-entry and a 30 000-entry list
+    among 50 of 1000."""
     rng = random.Random(9)
     nodes = [(0, a, b, c) for a in range(40) for b in range(40) for c in range(40)]
-    lists = {kw: sorted(rng.sample(nodes, 300)) for kw in TOUCHED}
+    lists = {"short": sorted(rng.sample(nodes, 300)), "long": sorted(rng.sample(nodes, 30_000))}
     lists.update((f"w{i:02d}", sorted(rng.sample(nodes, 1000))) for i in range(50))
     index_dir = tmp_path_factory.mktemp("big") / "idx"
     report = build_index(
         lists, index_dir, page_size=512, level_table=LevelTable([64, 64, 64])
     )
-    assert report.postings >= 50_000
+    assert report.postings >= 80_000
     return index_dir
 
 
 class TestCost:
-    def test_commit_reads_il_nodes_in_proportion_to_the_touched_runs(self, big_index):
-        with DiskKeywordIndex(big_index, use_segments=False) as index:
-            tree = index.il_tree
-            il_nodes = len(tree.leaf_page_ids()) + len(tree.internal_page_ids())
-            before = tree.node_reads
-            for kw in TOUCHED:
-                assert sum(1 for _ in tree.scan(*keyword_range(kw))) == 300
-            run_reads = tree.node_reads - before  # a descent + the run's leaves, each
-        updater = IndexUpdater(big_index)
-        updater.add_postings({kw: [((0, 63, 63, 63), "")] for kw in TOUCHED})
-        updater.remove_postings({kw: [(0, 63, 63, 63)] for kw in TOUCHED})
-        updater.close()
-        # Per call and keyword: one descent for the posting, one pass over
-        # the run.  close() reads nothing: untouched lists are copied.
-        assert updater._il.node_reads <= 4 * run_reads
-        assert updater._il.node_reads < il_nodes // 10
+    def test_commit_cost_follows_the_changed_postings_not_the_list_length(
+        self, big_index, monkeypatch
+    ):
+        """The same two-posting change against a 300-entry and a
+        30 000-entry list touches the same number of IL and scan nodes,
+        give or take a tree height (a leaf split, a floor found one leaf
+        to the left) — and the pass over a run is never made."""
+        written = []
+        real = BPlusTree._write_node
+
+        def counting(self, pid, node):
+            written.append(self.name)
+            return real(self, pid, node)
+
+        def no_repair(self, keyword):
+            raise AssertionError(f"a successful call repaired {keyword!r}")
+
+        monkeypatch.setattr(BPlusTree, "_write_node", counting)
+        monkeypatch.setattr(IndexUpdater, "_repair", no_repair)
+        change = [(0, 63, 63, 62), (0, 63, 63, 63)]  # fit the table, in no list
+        cost = {}
+        for keyword in ("short", "long"):
+            del written[:]
+            updater = IndexUpdater(big_index)
+            assert updater.add_postings({keyword: [(dewey, "") for dewey in change]}) == 2
+            assert updater.remove_postings({keyword: change}) == 2
+            reads = updater._il.node_reads + updater._scan.node_reads
+            height = updater._il.height + updater._scan.height
+            updater.close()  # reads no node: untouched lists are copied
+            assert updater._il.node_reads + updater._scan.node_reads == reads + height
+            cost[keyword] = (reads, len(written))
+        (short_reads, short_writes), (long_reads, long_writes) = cost["short"], cost["long"]
+        assert abs(long_reads - short_reads) <= height
+        assert abs(long_writes - short_writes) <= height
+        # Per changed posting: a descent of each tree (the scan tree's twice,
+        # to find the block and to store it) and a leaf written in each.
+        assert long_reads <= 4 * 2 * height and long_writes <= 4 * 3
+        monkeypatch.undo()
         assert fsck_index(big_index).ok
 
     def test_open_and_refresh_read_inner_nodes_plus_one_leaf_per_tree(

@@ -146,6 +146,38 @@ class TestMetadata:
 
         assert load_manifest(target)["has_document"] is False
 
+    def test_net_zero_batch_invalidates_stored_document(self, indexed):
+        """As many postings out as in: the total is unchanged, the contents
+        are not, and the stored document no longer matches them."""
+        target, tree = indexed
+        from repro.index.builder import load_manifest
+
+        before = load_manifest(target)["postings"]
+        victim = tree.keyword_lists()["xka"][0]
+        with IndexUpdater(target) as updater:
+            assert updater.remove_postings({"xka": [victim]}) == 1
+            assert updater.add_postings({"zzz": [((0, 0, 1, 1, 0, 0), "")]}) == 1
+        manifest = load_manifest(target)
+        assert manifest["postings"] == before
+        assert manifest["has_document"] is False
+        assert not (target / "document.xml").exists()
+
+    def test_index_without_scan_key_marker_is_refused(self, indexed):
+        """Blocks keyed by sequence number cannot be edited in place: the
+        writer says rebuild; readers serve such an index as before."""
+        import json
+
+        from repro.errors import IndexFormatError
+
+        target, tree = indexed
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert manifest.pop("scan_keys") == "first-posting"
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(IndexFormatError, match="rebuild"):
+            IndexUpdater(target)
+        with DiskKeywordIndex(target) as index:
+            assert index.keyword_list("xka") == tree.keyword_lists()["xka"]
+
     def test_noop_update_keeps_document(self, indexed):
         target, _ = indexed
         with IndexUpdater(target):

@@ -55,6 +55,24 @@ class TestLifecycle:
             p._file.read()
 
 
+class TestReload:
+    def test_reload_drops_pages_buffered_before_another_handle_wrote_them(self, tmp_path):
+        """Reading a page buffers its neighbours in the file object; after
+        ``reload_header`` they must come from the file again."""
+        path = tmp_path / "shared.db"
+        with Pager(path, page_size=256, create=True) as writer:
+            first, second = writer.allocate(), writer.allocate()
+            writer.write_page(first, b"one")
+            writer.write_page(second, b"two")
+            writer.flush()
+            with Pager(path) as reader:
+                assert reader.read_page(first).startswith(b"one")
+                writer.write_page(second, b"fresh")
+                writer.flush()
+                reader.reload_header()
+                assert reader.read_page(second).startswith(b"fresh")
+
+
 class TestBoundsChecks:
     def test_read_out_of_range(self, pager):
         with pytest.raises(PageError, match="out of range"):

@@ -76,9 +76,37 @@ class TestBlocks:
         assert records.unpack_block(records.pack_block(encodings)) == encodings
 
     def test_block_key_ordering(self):
-        assert records.block_key("a", 0) < records.block_key("a", 1)
-        assert records.block_key("a", 255) < records.block_key("a", 256)
-        assert records.block_key("a", 99999) < records.block_key("b", 0)
+        """A list's first block is keyed by the range's lower bound, later
+        ones by their first posting: below every posting, in list order,
+        and inside the keyword's range."""
+        lo, hi = records.keyword_range("a")
+        first, later = records.posting_key("a", b"\x01"), records.posting_key("a", b"\x01\x00")
+        assert lo <= records.posting_key("a", b"") < first < later < hi
+        assert hi <= records.keyword_range("b")[0]
+
+    @given(
+        encodings=st.lists(st.binary(max_size=5), min_size=1, max_size=12, unique=True),
+        probe=st.binary(max_size=5),
+    )
+    def test_find_record_is_a_bisect_over_the_encodings(self, encodings, probe):
+        encodings.sort()
+        block = records.pack_tagged_block([(enc, 7) for enc in encodings])
+        start, end = records.find_record(block, probe)
+        below = [enc for enc in encodings if enc < probe]
+        assert block[:start] == records.pack_tagged_block([(enc, 7) for enc in below])
+        held = records.pack_tagged_block([(probe, 7)]) if probe in encodings else b""
+        assert block[start:end] == held
+        assert records.first_encoding(block) == encodings[0]
+
+    @given(encodings=st.lists(st.binary(max_size=40), min_size=1, max_size=12))
+    def test_block_midpoint_is_a_record_boundary_with_both_sides_occupied(self, encodings):
+        block = records.pack_tagged_block([(enc, 0) for enc in encodings])
+        mid = records.block_midpoint(block)
+        lower, upper = records.unpack_block(block[:mid]), records.unpack_block(block[mid:])
+        assert lower + upper == records.unpack_block(block)
+        assert lower and (upper or len(encodings) == 1)
+        # the first boundary at or past the middle, unless that is the end
+        assert len(block[:mid]) - len(lower[-1]) - 1 < len(block) // 2 or len(lower) == 1
 
     def test_oversized_encoding_rejected(self):
         with pytest.raises(IndexFormatError, match="too long"):

@@ -250,6 +250,55 @@ class TestInvalidationAfterUpdates:
 
             assert list(engine.execute("john zebra")) == [john_node]
 
+    def test_tag_only_change_invalidates_cached_answers(self, school, tmp_path):
+        """Re-adding a posting under another context tag adds nothing, but
+        tag-qualified answers change: the generation must move."""
+        index_dir = tmp_path / "idx"
+        XKSearch.build(school, index_dir).close()
+        cache = QueryCache()
+        with XKSearch.open(index_dir, cache=cache) as system:
+            engine = system.engine
+            assert list(engine.execute("ta:john ben")) == []
+            assert list(engine.execute("ta:john ben")) == []  # from the cache
+            assert cache.results.stats.hits == 1
+            john_node = system.index.keyword_list("john")[0]
+            before = current_generation(index_dir)
+            with IndexUpdater(index_dir) as updater:
+                assert updater.add_postings({"john": [(john_node, "ta")]}) == 0
+            assert current_generation(index_dir) == before + 1
+            assert list(engine.execute("ta:john ben")) == [(0, 0)]
+            with IndexUpdater(index_dir) as updater:  # the same tag again: no change
+                assert updater.add_postings({"john": [(john_node, "ta")]}) == 0
+            assert current_generation(index_dir) == before + 1
+
+    def test_tag_only_change_reaches_a_reader_in_another_process(self, school, tmp_path):
+        import subprocess
+        import sys
+
+        import repro
+
+        index_dir = tmp_path / "idx"
+        XKSearch.build(school, index_dir).close()
+        with DiskKeywordIndex(index_dir) as index:
+            john_node = index.keyword_list("john")[0]
+            assert index.keyword_list("john", tag="ta") == []
+            script = (
+                "from repro.index.updates import IndexUpdater\n"
+                f"with IndexUpdater({str(index_dir)!r}) as updater:\n"
+                f"    assert updater.add_postings({{'john': [({john_node!r}, 'ta')]}}) == 0\n"
+            )
+            src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+            subprocess.run(
+                [sys.executable, "-c", script],
+                check=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": src_dir},
+            )
+            with open(index_dir / "manifest.json", encoding="utf-8") as fh:
+                assert json.load(fh)["generation"] == 1
+            assert index.generation() == 1  # stats the manifest, reloads
+            assert index.keyword_list("john", tag="ta") == [john_node]
+
     def test_noop_update_does_not_invalidate(self, school, tmp_path):
         index_dir = tmp_path / "idx"
         XKSearch.build(school, index_dir).close()
