@@ -15,17 +15,10 @@ This package connects them:
   trace ids and a bounded slow-query log;
 * :mod:`repro.obs.profile` — the EXPLAIN/profile breakdown
   (:class:`QueryProfile`) attached to an execution on request;
-* :mod:`repro.obs.export` — trace/metrics export to JSONL files or an
-  HTTP collector through a bounded background queue, including timed
-  full-registry snapshots (:class:`SnapshotShipper`, optionally
-  OTLP-shaped);
+* :mod:`repro.obs.export` — trace export to JSONL files or an HTTP
+  collector through a bounded background queue;
 * :mod:`repro.obs.logging` — trace-id-correlated structured JSON logs
   with load-adaptive token-bucket sampling (:func:`set_log_sampling`);
-* :mod:`repro.obs.slo` — declarative SLOs evaluated over ring-buffer
-  trailing windows, Google-SRE multi-window burn-rate alerting, and the
-  ``ok → pending → firing → resolved`` alert state machine surfaced at
-  ``GET /alertz``, with window-ring persistence across restarts
-  (``serve --slo-state``);
 * :mod:`repro.obs.profiling` — a thread-sampling continuous profiler
   (folded flamegraph stacks at ``GET /debug/pprof``) plus tracemalloc
   heap snapshots (``GET /debug/heap``);
@@ -33,20 +26,19 @@ This package connects them:
   pool's workers (``xks_worker_up{worker}`` and per-worker rollups),
   fed by heartbeat telemetry snapshots over the task pipes.
 
-See docs/OBSERVABILITY.md for the metric catalog and schemas.
+SLOs are not evaluated in-process: ``docs/slo_rules.yml`` holds the
+Prometheus recording and burn-rate alert rules over the ``xks_*`` series
+``/metrics`` exposes.  See docs/OBSERVABILITY.md for the metric catalog
+and schemas.
 """
 
 from repro.obs.export import (
     BackgroundExporter,
     ExportSink,
-    FanoutExporter,
     HttpCollectorSink,
     JsonlFileSink,
     MemorySink,
-    MetricsExporter,
-    SnapshotShipper,
     TraceExporter,
-    otlp_metrics_record,
 )
 from repro.obs.fleet import FleetCollector
 from repro.obs.logging import (
@@ -61,11 +53,8 @@ from repro.obs.logging import (
 )
 from repro.obs.metrics import (
     Counter,
-    CounterWindow,
     Gauge,
     Histogram,
-    HistogramSnapshot,
-    HistogramWindow,
     MetricsRegistry,
     Sample,
     exponential_buckets,
@@ -85,16 +74,6 @@ from repro.obs.profiling import (
     start_heap_tracking,
     stop_heap_tracking,
 )
-from repro.obs.slo import (
-    Alert,
-    AlertManager,
-    BurnRule,
-    SLODefinition,
-    SLOEngine,
-    WindowPolicy,
-    default_slos,
-    parse_slo,
-)
 from repro.obs.tracing import (
     Span,
     Trace,
@@ -107,15 +86,11 @@ from repro.obs.tracing import (
 __all__ = [
     "BackgroundExporter",
     "ExportSink",
-    "FanoutExporter",
     "FleetCollector",
     "HttpCollectorSink",
     "JsonlFileSink",
     "MemorySink",
-    "MetricsExporter",
-    "SnapshotShipper",
     "TraceExporter",
-    "otlp_metrics_record",
     "LogSampler",
     "configure_logging",
     "current_trace_id",
@@ -125,11 +100,8 @@ __all__ = [
     "set_current_trace_id",
     "set_log_sampling",
     "Counter",
-    "CounterWindow",
     "Gauge",
     "Histogram",
-    "HistogramSnapshot",
-    "HistogramWindow",
     "MetricsRegistry",
     "Sample",
     "exponential_buckets",
@@ -147,14 +119,6 @@ __all__ = [
     "render_folded",
     "start_heap_tracking",
     "stop_heap_tracking",
-    "Alert",
-    "AlertManager",
-    "BurnRule",
-    "SLODefinition",
-    "SLOEngine",
-    "WindowPolicy",
-    "default_slos",
-    "parse_slo",
     "Span",
     "Trace",
     "Tracer",

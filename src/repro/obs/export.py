@@ -1,7 +1,8 @@
-"""Trace/metrics export: ship observability signals out of the process.
+"""Trace export: ship finished request traces out of the process.
 
-PR 2 left every signal in-process (``/metrics`` is pull-only, traces die
-in ``/debug/slow``).  This module pushes them to an external collector
+Metrics stay pull-only (``/metrics``; a Prometheus server scrapes them and
+evaluates ``docs/slo_rules.yml``), but traces would otherwise die in
+``/debug/slow``.  This module pushes them to an external collector
 without ever letting the collector's health affect the serving path:
 
 * a :class:`ExportSink` is the transport — :class:`JsonlFileSink` appends
@@ -15,11 +16,7 @@ without ever letting the collector's health affect the serving path:
   and counts the rest as dropped — accounting is exact:
   ``submitted == sent + dropped`` after ``close()``;
 * :class:`TraceExporter` ships span trees (the server enqueues one record
-  per traced request); :class:`MetricsExporter` snapshots a
-  :class:`~repro.obs.metrics.MetricsRegistry` on an interval and ships the
-  samples; :class:`SnapshotShipper` (``serve --snapshot-every``) adds alert
-  transition records and an opt-in OTLP-shaped payload mode
-  (:func:`otlp_metrics_record`).
+  per traced request).
 
 Every exporter mirrors its accounting into the metrics registry
 (``xks_export_sent_total``, ``xks_export_retries_total``,
@@ -36,7 +33,7 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -184,77 +181,6 @@ class HttpCollectorSink(ExportSink):
 
     def describe(self) -> str:
         return f"http:{self.url}"
-
-
-def otlp_metrics_record(
-    samples: List[Any],
-    ts: float,
-    service_name: str = "xksearch",
-) -> dict:
-    """Shape one registry snapshot as an OTLP-style JSON metrics payload.
-
-    Follows the ``resourceMetrics → scopeMetrics → metrics`` nesting of
-    OTLP/JSON with ``gauge``/``sum`` data points: counters and the
-    flattened histogram series (``*_bucket``/``*_sum``/``*_count``) become
-    cumulative monotonic sums, gauges become gauges.  "OTLP-shaped" — a
-    faithful JSON silhouette for collectors that speak it, produced
-    without an OTLP dependency.
-    """
-    nanos = int(ts * 1e9)
-    by_name: "Dict[str, Tuple[str, List[Any]]]" = {}
-    for sample in samples:
-        entry = by_name.setdefault(sample.name, (sample.kind, []))
-        entry[1].append(sample)
-    metrics = []
-    for name in sorted(by_name):
-        kind, group = by_name[name]
-        points = [
-            {
-                "timeUnixNano": nanos,
-                "asDouble": float(sample.value),
-                "attributes": [
-                    {"key": key, "value": {"stringValue": str(value)}}
-                    for key, value in sorted(sample.labels.items())
-                ],
-            }
-            for sample in group
-        ]
-        if kind in ("counter", "histogram"):
-            metrics.append(
-                {
-                    "name": name,
-                    "sum": {
-                        "dataPoints": points,
-                        "aggregationTemporality": 2,  # CUMULATIVE
-                        "isMonotonic": True,
-                    },
-                }
-            )
-        else:
-            metrics.append({"name": name, "gauge": {"dataPoints": points}})
-    return {
-        "kind": "metrics",
-        "format": "otlp",
-        "ts": ts,
-        "resourceMetrics": [
-            {
-                "resource": {
-                    "attributes": [
-                        {
-                            "key": "service.name",
-                            "value": {"stringValue": service_name},
-                        }
-                    ]
-                },
-                "scopeMetrics": [
-                    {
-                        "scope": {"name": "repro.obs"},
-                        "metrics": metrics,
-                    }
-                ],
-            }
-        ],
-    }
 
 
 class ExportStats:
@@ -476,16 +402,12 @@ class BackgroundExporter:
         self._count_drop(DROP_SEND_FAILED, len(batch))
         return False
 
-    def _tick(self) -> None:
-        """Periodic hook for subclasses (metrics snapshots)."""
-
     def _run(self) -> None:
         while True:
             self._wake.wait(self.flush_interval)
             self._wake.clear()
             if self._stopping and not self._queue:
                 return
-            self._tick()
             while True:
                 batch = self._take_batch()
                 if not batch:
@@ -566,133 +488,3 @@ class TraceExporter(BackgroundExporter):
         record = {"kind": "trace", "exported_at": time.time()}
         record.update(payload)
         return self.submit(record)
-
-
-class MetricsExporter(BackgroundExporter):
-    """Periodically snapshots a registry and ships the samples.
-
-    One record per interval::
-
-        {"kind": "metrics", "ts": ..., "samples":
-            [{"name": ..., "labels": {...}, "value": ...}, ...]}
-    """
-
-    kind = "metrics"
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        sink: Optional[ExportSink] = None,
-        interval: float = 10.0,
-        **kwargs: Any,
-    ):
-        if sink is None:
-            raise ValueError("MetricsExporter needs a sink")
-        self.interval = interval
-        self._source = registry if registry is not None else get_registry()
-        self._last_snapshot = 0.0
-        super().__init__(sink, registry=self._source, **kwargs)
-
-    def snapshot(self) -> bool:
-        """Enqueue one snapshot of the source registry now."""
-        samples = [
-            s
-            for s in self._source.collect()
-            # Exporting the export pipeline's own queue depth is noise.
-            if not s.name.startswith("xks_export_")
-        ]
-        record = self.build_record(samples, time.time())
-        self._last_snapshot = time.monotonic()
-        return self.submit(record)
-
-    def build_record(self, samples: List[Any], ts: float) -> dict:
-        """Shape one snapshot's samples into the record to ship
-        (subclasses override the payload format, not the plumbing)."""
-        return {
-            "kind": "metrics",
-            "ts": ts,
-            "samples": [
-                {"name": s.name, "labels": s.labels, "value": s.value}
-                for s in samples
-            ],
-        }
-
-    def _tick(self) -> None:
-        if time.monotonic() - self._last_snapshot >= self.interval:
-            self.snapshot()
-
-
-class SnapshotShipper(MetricsExporter):
-    """Timed full-registry snapshots plus alert records, one pipeline.
-
-    What ``serve --snapshot-every SECS`` runs: every interval the flusher
-    thread snapshots the registry and ships it through the same bounded
-    queue / retry / drop accounting as traces, and the SLO engine routes
-    alert transition records through :meth:`ship_alert` so a collector
-    sees state changes interleaved with the metrics they explain.  With
-    ``otlp=True`` snapshots are shaped by :func:`otlp_metrics_record`
-    instead of the flat ``samples`` list.
-    """
-
-    kind = "snapshot"
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        sink: Optional[ExportSink] = None,
-        interval: float = 10.0,
-        otlp: bool = False,
-        service_name: str = "xksearch",
-        **kwargs: Any,
-    ):
-        self.otlp = otlp
-        self.service_name = service_name
-        super().__init__(registry, sink, interval, **kwargs)
-
-    def build_record(self, samples: List[Any], ts: float) -> dict:
-        if self.otlp:
-            return otlp_metrics_record(samples, ts, self.service_name)
-        return super().build_record(samples, ts)
-
-    def ship_alert(self, record: dict) -> bool:
-        """Enqueue one alert transition record (``{"kind": "alert", ...}``)
-        — the :class:`~repro.obs.slo.AlertManager` calls ``submit`` via
-        its attached exporter; this alias just names the intent."""
-        return self.submit(record)
-
-
-class FanoutExporter:
-    """Submit each record to several exporters; succeed if any accepted it.
-
-    ``serve --alert-webhook URL`` uses this to route SLO alert transition
-    records to *both* the regular export pipeline and a dedicated webhook
-    :class:`BackgroundExporter` — each target keeps its own queue, retry
-    policy and drop accounting, so a dead webhook never steals records
-    from the main pipeline (and vice versa).  Only ``submit``/``flush``/
-    ``close`` are fanned out; targets may be shared with other owners
-    (``owns`` marks which ones this fanout should close).
-    """
-
-    def __init__(self, targets: Sequence[Any], owns: Optional[Sequence[Any]] = None):
-        self.targets = [t for t in targets if t is not None]
-        if not self.targets:
-            raise ValueError("FanoutExporter needs at least one target")
-        self._owns = list(owns) if owns is not None else list(self.targets)
-
-    def submit(self, record: dict) -> bool:
-        accepted = False
-        for target in self.targets:
-            if target.submit(record):
-                accepted = True
-        return accepted
-
-    def flush(self, timeout: float = 5.0) -> bool:
-        ok = True
-        for target in self.targets:
-            if not target.flush(timeout):
-                ok = False
-        return ok
-
-    def close(self, flush_timeout: float = 5.0) -> None:
-        for target in self._owns:
-            target.close(flush_timeout)

@@ -18,9 +18,8 @@ is :func:`get_registry`.  Families may carry labels
 hot path afterwards is one lock acquisition plus one addition.
 
 Hot-path cost control: :func:`set_instrumentation_enabled` gates every
-``Counter.inc``/``Histogram.observe`` behind a module-level flag, which is
-how ``benchmarks/bench_qps.py`` measures the instrumentation overhead
-(counters on vs. off) recorded in ``BENCH_qps.json``.
+``Counter.inc``/``Histogram.observe`` behind a module-level flag, so the
+instrumentation overhead can be measured as counters on vs. off.
 
 Components that already keep their own counters (buffer pool, pager,
 query cache) are exposed without double-counting via *collectors*:
@@ -35,7 +34,6 @@ import re
 import threading
 import time
 from bisect import bisect_left
-from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
@@ -286,8 +284,7 @@ class Histogram:
         if tap is not None and self._ident is not None:
             name, labelnames, labelvalues, help = self._ident
             # Bounds ride along so a replaying registry that has never seen
-            # this histogram creates it with identical buckets (windowed
-            # snapshot diffs raise on mismatched bounds).
+            # this histogram creates it with identical buckets.
             tap.append(
                 ("h", name, labelnames, labelvalues, help,
                  self.bounds, value, trace_id)
@@ -319,14 +316,6 @@ class Histogram:
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    def snapshot(self) -> "HistogramSnapshot":
-        """A consistent cumulative snapshot (bounds, per-bucket counts,
-        sum, count) — the unit the windowed ring buffers store."""
-        with self._lock:
-            return HistogramSnapshot(
-                self.bounds, tuple(self._counts), self._sum, self._count
-            )
 
     def percentile(self, q: float) -> float:
         """Estimated q-quantile (0 <= q <= 1), interpolated within its bucket.
@@ -391,239 +380,6 @@ class Histogram:
         yield f"{name}_bucket", {"le": "+Inf"}, total
         yield f"{name}_sum", {}, total_sum
         yield f"{name}_count", {}, total
-
-
-# -- windowed snapshots (ring buffers over cumulative metrics) ---------------
-#
-# Prometheus-style metrics are cumulative: a counter or histogram only ever
-# grows, and rates are a *reader's* concern.  The SLO engine needs trailing
-# windows ("errors over the last 5 minutes / last hour") without external
-# storage, so these ring buffers keep periodic cumulative snapshots and
-# answer `delta(window)` as `current - snapshot_at(now - window)`.  Memory
-# is bounded by `horizon / resolution` slots; anything older falls off the
-# ring (rollover), and a window reaching past recorded history falls back
-# to the oldest snapshot (or to zero while the process is younger than the
-# window — cumulative metrics start at zero, so that base is exact).
-
-
-class HistogramSnapshot:
-    """One cumulative histogram state: per-bucket counts plus sum/count."""
-
-    __slots__ = ("bounds", "counts", "sum", "count")
-
-    def __init__(
-        self,
-        bounds: Tuple[float, ...],
-        counts: Tuple[int, ...],
-        sum_: float,
-        count: int,
-    ):
-        self.bounds = bounds
-        self.counts = counts
-        self.sum = sum_
-        self.count = count
-
-    def count_le(self, threshold: float) -> int:
-        """Observations known to be ``<= threshold`` (bucket-quantized:
-        the threshold is snapped up to the bucket bound that contains it,
-        so the answer counts everything in buckets whose upper bound is
-        the snap target or below)."""
-        index = bisect_left(self.bounds, threshold)
-        return sum(self.counts[: index + 1])
-
-    def add(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge snapshots with different buckets")
-        return HistogramSnapshot(
-            self.bounds,
-            tuple(a + b for a, b in zip(self.counts, other.counts)),
-            self.sum + other.sum,
-            self.count + other.count,
-        )
-
-    def delta(self, earlier: Optional["HistogramSnapshot"]) -> "HistogramSnapshot":
-        if earlier is None:
-            return self
-        if self.bounds != earlier.bounds:
-            raise ValueError("cannot diff snapshots with different buckets")
-        return HistogramSnapshot(
-            self.bounds,
-            tuple(a - b for a, b in zip(self.counts, earlier.counts)),
-            self.sum - earlier.sum,
-            self.count - earlier.count,
-        )
-
-    def percentile(self, q: float) -> float:
-        """Estimated q-quantile of the observations in this snapshot,
-        interpolated within its bucket (same rank logic as
-        :meth:`Histogram.percentile`, without the live min/max clamp —
-        a windowed delta has no min/max, so bucket bounds are used)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * (self.count - 1) + 1
-        cumulative = 0
-        for i, bucket_count in enumerate(self.counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                lower = 0.0 if i == 0 else self.bounds[i - 1]
-                if i == len(self.bounds):  # +Inf overflow bucket
-                    return self.bounds[-1]
-                upper = self.bounds[i]
-                fraction = (rank - cumulative) / bucket_count
-                return lower + (upper - lower) * min(1.0, fraction)
-            cumulative += bucket_count
-        return self.bounds[-1]
-
-    @classmethod
-    def zero(cls, bounds: Tuple[float, ...]) -> "HistogramSnapshot":
-        return cls(bounds, (0,) * (len(bounds) + 1), 0.0, 0)
-
-
-class _RingWindow:
-    """Ring buffer of ``(ts, cumulative payload)`` snapshots.
-
-    ``record(now)`` stores the source's current cumulative state, at most
-    once per ``resolution_s`` (denser calls are no-ops — the last snapshot
-    is still fresh).  ``delta(window_s, now)`` diffs the *live* state
-    against the newest stored snapshot at least ``window_s`` old; it never
-    reads a stale "current" value.  Subclasses define what a payload is.
-    """
-
-    def __init__(self, horizon_s: float, resolution_s: float):
-        if horizon_s <= 0 or resolution_s <= 0:
-            raise ValueError("horizon and resolution must be positive")
-        self.horizon_s = float(horizon_s)
-        self.resolution_s = float(resolution_s)
-        slots = int(math.ceil(horizon_s / resolution_s)) + 2
-        self._snaps: "deque[Tuple[float, object]]" = deque(maxlen=slots)
-        self._lock = threading.Lock()
-
-    def _current(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def record(self, now: Optional[float] = None) -> None:
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            if self._snaps and now - self._snaps[-1][0] < self.resolution_s:
-                return
-        payload = self._current()
-        with self._lock:
-            if self._snaps and now - self._snaps[-1][0] < self.resolution_s:
-                return
-            self._snaps.append((now, payload))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._snaps)
-
-    def span_s(self, now: Optional[float] = None) -> float:
-        """Seconds of history the ring currently covers."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            if not self._snaps:
-                return 0.0
-            return now - self._snaps[0][0]
-
-    def dump(self) -> List[Tuple[float, object]]:
-        """Every stored ``(monotonic_ts, payload)`` pair, oldest first —
-        the raw material SLO-state persistence serializes."""
-        with self._lock:
-            return list(self._snaps)
-
-    def restore(self, items: Iterable[Tuple[float, object]]) -> None:
-        """Replace the ring contents with ``(monotonic_ts, payload)`` pairs
-        (already re-anchored to this process's monotonic clock, oldest
-        first).  Used when loading persisted SLO window state."""
-        with self._lock:
-            self._snaps.clear()
-            for ts, payload in items:
-                self._snaps.append((float(ts), payload))
-
-    def _base_at(self, cutoff: float):
-        """The newest stored payload with ``ts <= cutoff`` (None when the
-        ring holds no snapshot that old — history shorter than the
-        window), plus its timestamp."""
-        with self._lock:
-            base = None
-            base_ts = None
-            for ts, payload in self._snaps:
-                if ts <= cutoff:
-                    base, base_ts = payload, ts
-                else:
-                    break
-            if base is None and self._snaps:
-                # History does not reach the cutoff.  If the ring rolled
-                # over (we *dropped* older snapshots) the oldest survivor
-                # is the best available base; if the process is simply
-                # younger than the window, zero (= metric birth) is exact.
-                if len(self._snaps) == self._snaps.maxlen:
-                    base, base_ts = self._snaps[0][1], self._snaps[0][0]
-            return base, base_ts
-
-
-class CounterWindow(_RingWindow):
-    """Trailing-window deltas over one cumulative scalar (a
-    :class:`Counter`, a monotone gauge, or any float-returning callable)."""
-
-    def __init__(
-        self,
-        source,
-        horizon_s: float,
-        resolution_s: float,
-    ):
-        self._source = source
-        super().__init__(horizon_s, resolution_s)
-
-    def _current(self) -> float:
-        source = self._source
-        value = source() if callable(source) else source.value
-        return float(value)
-
-    def delta(self, window_s: float, now: Optional[float] = None) -> float:
-        """Increase over the trailing ``window_s`` seconds (clamped at 0 —
-        a counter reset shows as no progress, not negative progress)."""
-        now = time.monotonic() if now is None else now
-        current = self._current()
-        base, _ = self._base_at(now - window_s)
-        if base is None:
-            base = 0.0
-        return max(0.0, current - float(base))
-
-
-class HistogramWindow(_RingWindow):
-    """Trailing-window bucket deltas over one cumulative histogram source.
-
-    ``source`` is a :class:`Histogram` or a zero-argument callable
-    returning a :class:`HistogramSnapshot` (aggregating callables let one
-    window cover several children of a labeled family).  ``delta``
-    returns a :class:`HistogramSnapshot` holding only the observations
-    that happened inside the window — windowed percentiles and
-    threshold counts come from that.
-    """
-
-    def __init__(
-        self,
-        source,
-        horizon_s: float,
-        resolution_s: float,
-    ):
-        self._source = source
-        super().__init__(horizon_s, resolution_s)
-
-    def _current(self) -> HistogramSnapshot:
-        source = self._source
-        return source() if callable(source) else source.snapshot()
-
-    def delta(
-        self, window_s: float, now: Optional[float] = None
-    ) -> HistogramSnapshot:
-        now = time.monotonic() if now is None else now
-        current = self._current()
-        base, _ = self._base_at(now - window_s)
-        return current.delta(base)
 
 
 class _Family:
@@ -693,7 +449,6 @@ class MetricsRegistry:
         self._metrics: "Dict[str, Tuple[str, object]]" = {}
         self._help: Dict[str, str] = {}
         self._collectors: List[Callable[[], Iterable[Sample]]] = []
-        self._windows: List[_RingWindow] = []
 
     # -- registration --------------------------------------------------------
 
@@ -765,32 +520,6 @@ class MetricsRegistry:
             if collector in self._collectors:
                 self._collectors.remove(collector)
 
-    # -- windowed snapshots --------------------------------------------------
-
-    def register_window(self, window: _RingWindow) -> None:
-        """Attach a ring-buffer window so :meth:`record_windows` ticks it.
-
-        Windows are how trailing-interval views (burn rates, windowed
-        percentiles) are derived from cumulative metrics without external
-        storage — see :class:`CounterWindow` / :class:`HistogramWindow`.
-        """
-        with self._lock:
-            if window not in self._windows:
-                self._windows.append(window)
-
-    def unregister_window(self, window: _RingWindow) -> None:
-        with self._lock:
-            if window in self._windows:
-                self._windows.remove(window)
-
-    def record_windows(self, now: Optional[float] = None) -> None:
-        """Snapshot every registered window (one periodic tick serves all
-        of them; each window self-limits to its own resolution)."""
-        with self._lock:
-            windows = list(self._windows)
-        for window in windows:
-            window.record(now)
-
     # -- cross-process replay ------------------------------------------------
 
     def replay_events(self, events: Iterable[tuple]) -> int:
@@ -838,7 +567,6 @@ class MetricsRegistry:
             self._metrics.clear()
             self._collectors.clear()
             self._help.clear()
-            self._windows.clear()
 
     def get_metric(self, name: str):
         """The registered metric object (or family) for *name*, else None."""
@@ -849,8 +577,8 @@ class MetricsRegistry:
     def collect(self) -> List[Sample]:
         """Every current sample — registered metrics plus collector output.
 
-        The flat-snapshot twin of :meth:`render`; the metrics exporter
-        ships these as JSON instead of Prometheus text.
+        The flat-snapshot twin of :meth:`render`; a pool worker's
+        heartbeat ships these to the parent's fleet collector.
         """
         with self._lock:
             metrics = list(self._metrics.items())

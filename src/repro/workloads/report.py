@@ -174,49 +174,6 @@ def band_attribution_table(
     return format_table(title, headers, rows)
 
 
-def slo_burn_table(
-    slo_engine,
-    title: str = "SLO error budgets and burn rates",
-) -> str:
-    """Per-SLO budget/burn summary from a live :class:`~repro.obs.slo.
-    SLOEngine` — the report-side companion of ``GET /alertz``.
-
-    One row per SLO: cumulative error budget remaining, the burn rate
-    over each alerting window, and the worst alert state.  Sits next to
-    :func:`band_attribution_table` so a workload report answers both
-    "which band is slow?" and "is that slowness eating the budget?".
-    """
-    headers = [
-        "slo", "objective", "events", "error rate",
-        "budget left", "burn rates", "alerts",
-    ]
-    if slo_engine is None:
-        return format_table(title, headers, [])
-    status = slo_engine.status(evaluate=True)
-    rows: List[List[str]] = []
-    for block in status["slos"]:
-        burn = " ".join(
-            f"{window}={rate:g}x"
-            for window, rate in block.get("burn_rates", {}).items()
-        )
-        alerts = " ".join(
-            f"{alert['severity']}:{alert['state']}"
-            for alert in block.get("alerts", [])
-        )
-        rows.append(
-            [
-                block["name"],
-                f"{block['objective'] * 100:g}%",
-                f"{block['total']:.0f}",
-                f"{block['error_rate']:.6f}",
-                f"{block['error_budget_remaining']:.4f}",
-                burn or "-",
-                alerts or "-",
-            ]
-        )
-    return format_table(title, headers, rows)
-
-
 def ops_table(
     title: str,
     x_label: str,

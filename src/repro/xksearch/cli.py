@@ -23,6 +23,13 @@ from repro.xksearch.system import XKSearch
 from repro.xmltree.parser import parse_file
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     tree = parse_file(args.document)
@@ -167,15 +174,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         log_sample=args.log_sample,
         workers_proc=args.workers_proc,
         use_segments=not args.no_segments,
-        snapshot_every=args.snapshot_every,
-        snapshot_otlp=args.snapshot_otlp,
-        slo_specs=args.slo or None,
-        slo_enabled=not args.no_slo,
-        slo_window_scale=args.slo_window_scale,
-        debug_latency_ms=args.debug_latency_ms,
         profile_hz=args.profile_hz,
-        alert_webhook=args.alert_webhook,
-        slo_state=args.slo_state,
         default_timeout_ms=args.default_timeout_ms,
         verify_checksums=args.verify_checksums,
         admission_soft=args.admission_soft,
@@ -194,55 +193,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     report = fsck_index(args.index_dir)
     print(report.summary())
     return 0 if report.ok else 1
-
-
-def _cmd_slo_status(args: argparse.Namespace) -> int:
-    """Fetch ``/alertz`` from a running server and render it.
-
-    Exit status mirrors alert state (0 = no alert firing, 1 = at least
-    one firing) so the command slots into shell health checks.
-    """
-    import json
-    import urllib.request
-
-    url = args.url.rstrip("/") + "/alertz"
-    with urllib.request.urlopen(url, timeout=args.timeout) as response:
-        payload = json.loads(response.read().decode("utf-8"))
-    firing = [
-        alert
-        for slo in payload.get("slos", [])
-        for alert in slo.get("alerts", [])
-        if alert.get("state") == "firing"
-    ]
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 1 if firing else 0
-    if not payload.get("enabled", False):
-        print("SLO engine disabled on this server")
-        return 0
-    print(
-        f"{len(payload.get('slos', []))} SLOs, "
-        f"{payload.get('transitions', 0)} alert transitions, "
-        f"uptime {payload.get('uptime_s', 0):.0f}s"
-    )
-    for slo in payload.get("slos", []):
-        burn = ", ".join(
-            f"{window}={rate:g}x"
-            for window, rate in slo.get("burn_rates", {}).items()
-        )
-        print(
-            f"  {slo['name']}: budget {slo['error_budget_remaining']:.4f} "
-            f"({slo['total']:.0f} events, error rate {slo['error_rate']:.6f}; "
-            f"burn {burn or 'n/a'})"
-        )
-        for alert in slo.get("alerts", []):
-            marker = "!!" if alert["state"] == "firing" else "  "
-            print(
-                f"  {marker}  [{alert['severity']}] {alert['state']}"
-                f" (burn short={alert['burn_short']:g}x"
-                f" long={alert['burn_long']:g}x, max {alert['max_burn']:g}x)"
-            )
-    return 1 if firing else 0
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -270,7 +220,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--algorithm", choices=("auto", "il", "scan", "stack"), default="auto"
     )
-    p_search.add_argument("--limit", type=int, default=None)
+    p_search.add_argument("--limit", type=_non_negative_int, default=None)
     p_search.add_argument(
         "--lca", action="store_true", help="return all LCAs instead of SLCAs"
     )
@@ -393,50 +343,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="connect/read timeout for --export-url POSTs (default 5s)",
     )
     p_serve.add_argument(
-        "--snapshot-every",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="ship a full metrics snapshot to the export sink every SECS "
-        "seconds (needs --export-jsonl or --export-url)",
-    )
-    p_serve.add_argument(
-        "--snapshot-otlp",
-        action="store_true",
-        help="shape shipped snapshots as OTLP-style JSON "
-        "(resourceMetrics/scopeMetrics) instead of the flat sample list",
-    )
-    p_serve.add_argument(
-        "--slo",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="SLO spec (repeatable), e.g. 'availability:99.9' or "
-        "'latency:p99<=250ms:band=1000+:window=30d'; default: the "
-        "built-in availability + latency objectives",
-    )
-    p_serve.add_argument(
-        "--no-slo",
-        action="store_true",
-        help="disable SLO evaluation and burn-rate alerting",
-    )
-    p_serve.add_argument(
-        "--slo-window-scale",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="multiply every alerting window by FACTOR (test/CI drills: "
-        "0.01 turns 5m/1h into 3s/36s)",
-    )
-    p_serve.add_argument(
-        "--debug-latency-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="inject MS of artificial latency into every query execution "
-        "(debug/drill only; shows up in xks_query_exec_ms)",
-    )
-    p_serve.add_argument(
         "--profile-hz",
         type=float,
         default=0.0,
@@ -444,18 +350,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="sample thread stacks HZ times per second in the parent and "
         "every pool worker; folded flamegraph stacks at GET /debug/pprof "
         "(0 = off)",
-    )
-    p_serve.add_argument(
-        "--alert-webhook",
-        metavar="URL",
-        help="POST every SLO alert transition record to URL through its "
-        "own background pipeline (on top of any --export-* pipeline)",
-    )
-    p_serve.add_argument(
-        "--slo-state",
-        metavar="PATH",
-        help="persist SLO burn-rate windows to PATH on shutdown and "
-        "restore them (staleness-clamped) on startup",
     )
     p_serve.add_argument(
         "--default-timeout-ms",
@@ -522,14 +416,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_fsck.add_argument("index_dir")
     p_fsck.set_defaults(func=_cmd_fsck)
-
-    p_slo = sub.add_parser(
-        "slo-status", help="show a running server's SLO/alert state"
-    )
-    p_slo.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8080")
-    p_slo.add_argument("--json", action="store_true", help="print raw /alertz JSON")
-    p_slo.add_argument("--timeout", type=float, default=5.0)
-    p_slo.set_defaults(func=_cmd_slo_status)
     return parser
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.errors import QueryError
 from repro.xksearch.engine import ExecutionStats, QueryPlan
 from repro.xksearch.results import SearchResult
-from repro.xksearch.system import XKSearch
+from repro.xksearch.system import XKSearch, _check_limit
 from repro.xmltree.dewey import DeweyTuple
 from repro.xmltree.parser import parse_file
 from repro.xmltree.tree import Node, XMLTree, copy_subtree, renumber_subtree
@@ -112,16 +112,17 @@ class XMLCollection:
         limit: Optional[int] = None,
     ) -> List[CollectionResult]:
         """SLCAs across the collection, each attributed to its document."""
+        _check_limit(limit)
         out: List[CollectionResult] = []
         for dewey in self.search_ids(query, algorithm=algorithm):
+            if limit is not None and len(out) >= limit:
+                break
             located = self._to_local(dewey)
             if located is None:
                 continue
             name, _ = located
             decorated = self._system._decorate(dewey, query)
             out.append(self._relocate(name, decorated))
-            if limit is not None and len(out) >= limit:
-                break
         return out
 
     def search_ids(

@@ -253,11 +253,6 @@ class QueryEngine:
         # one up-front check per request instead of a discovery timeout;
         # recovery is probed automatically (docs/ROBUSTNESS.md).
         self.breaker = CircuitBreaker()
-        # Debug-only latency injection (ms), added to every in-thread
-        # execution *inside* the timed window so it shows up in
-        # xks_query_exec_ms — how the SLO alerting path is exercised
-        # end-to-end (`serve --debug-latency-ms`, ci_obs_smoke).
-        self.debug_latency_ms = 0.0
         # Per-algorithm OpCounters aggregates over this engine's lifetime
         # (the /statz "counters" section); registry metrics mirror them.
         self._totals: Dict[str, OpCounters] = {}
@@ -359,7 +354,6 @@ class QueryEngine:
         before = stats.counters.snapshot()
         started = time.perf_counter()
         try:
-            self._debug_sleep()
             yield from iterator
         finally:
             exec_ms = (time.perf_counter() - started) * 1000
@@ -367,11 +361,6 @@ class QueryEngine:
                 semantics, "off", algorithm, stats.counters.delta(before), exec_ms,
                 band=band,
             )
-
-    def _debug_sleep(self) -> None:
-        delay = self.debug_latency_ms
-        if delay > 0:
-            time.sleep(delay / 1000.0)
 
     # -- corruption recovery -------------------------------------------------
 
@@ -820,7 +809,6 @@ class QueryEngine:
         else:
             before = stats.counters.snapshot()
             exec_started = time.perf_counter()
-            self._debug_sleep()
             with maybe_phase(prof, "execute", algorithm=plan.algorithm):
                 value = self._run_with_retry(plan, stats, runner)
             exec_ms = (time.perf_counter() - exec_started) * 1000
@@ -861,7 +849,6 @@ class QueryEngine:
         """Materialized, timed execution for the EXPLAIN path (no cache)."""
         before = stats.counters.snapshot()
         exec_started = time.perf_counter()
-        self._debug_sleep()
         with maybe_phase(prof, "execute", algorithm=plan.algorithm):
             value = self._run_with_retry(plan, stats, runner)
         exec_ms = (time.perf_counter() - exec_started) * 1000
@@ -953,7 +940,6 @@ class QueryEngine:
                 return key, pooled + (True,)
             local = ExecutionStats()
             exec_started = time.perf_counter()
-            self._debug_sleep()
             value = self._run_with_retry(plan, local, self.execute_plan)
             exec_ms = (time.perf_counter() - exec_started) * 1000
             delta = local.counters

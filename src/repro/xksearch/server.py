@@ -30,7 +30,7 @@ Serving-layer features (beyond the paper's demo):
   ``/api/search?explain=1`` returns the per-phase EXPLAIN breakdown;
 * **a JSON API** — ``GET /api/search?q=…`` returns bare Dewey ids plus
   plan/timing metadata, the endpoint load generators and programmatic
-  clients (``benchmarks/bench_qps.py``) use;
+  clients (``benchmarks/e2e/run.py``) use;
 * **robustness** (see docs/ROBUSTNESS.md) — requests can carry an
   end-to-end deadline (``X-Deadline-Ms`` header, ``?timeout_ms=``, or
   ``serve --default-timeout-ms``) that is checked cooperatively through
@@ -53,10 +53,6 @@ Endpoints:
 * ``GET /debug/slow[?limit=N][&clear=1]`` — bounded slow-query log plus
   current execution-histogram exemplars (JSON); ``clear`` returns the
   entries it removes;
-* ``GET /alertz`` — SLO status and alert state machines (JSON): per-SLO
-  error budget, burn rates over the paired alerting windows, and every
-  alert's ``ok/pending/firing/resolved`` state (see
-  :mod:`repro.obs.slo` and docs/OBSERVABILITY.md, "SLOs and alerting");
 * ``GET /debug/pprof[?seconds=N][&fleet=1][&format=folded]`` — sampling-
   profiler flamegraph stacks (``serve --profile-hz``): cumulative, or
   only the next N seconds; ``fleet=1`` merges the pool workers' stacks
@@ -71,7 +67,9 @@ With an exporter attached (``serve --export-jsonl FILE`` or
 background flusher; delivery failures retry with backoff and are
 eventually dropped and counted — the request path never blocks on the
 collector.  ``--log-json`` (or ``REPRO_LOG_LEVEL``) turns on structured
-logs correlated to ``X-Trace-Id`` (see :mod:`repro.obs.logging`).
+logs correlated to ``X-Trace-Id`` (see :mod:`repro.obs.logging`).  SLOs
+are evaluated outside the process, by Prometheus over ``/metrics``, with
+the rules committed in ``docs/slo_rules.yml``.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ from repro.obs.export import (
     DEFAULT_HTTP_TIMEOUT,
     HttpCollectorSink,
     JsonlFileSink,
-    SnapshotShipper,
     TraceExporter,
 )
 from repro.obs.logging import (
@@ -105,7 +102,6 @@ from repro.obs.logging import (
     set_current_trace_id,
     set_log_sampling,
 )
-from repro.obs.slo import SLOEngine, WindowPolicy, default_slos, parse_slo
 from repro.obs.fleet import FleetCollector
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -156,7 +152,6 @@ _KNOWN_ENDPOINTS = (
     "/debug/pprof",
     "/debug/heap",
     "/healthz",
-    "/alertz",
 )
 
 _log = get_logger("server")
@@ -406,7 +401,6 @@ class _Handler(BaseHTTPRequestHandler):
     tracer: Tracer = None
     registry: MetricsRegistry = None
     exporter: Optional[TraceExporter] = None
-    slo_engine: Optional[SLOEngine] = None
     fleet: Optional[FleetCollector] = None
     profiler: Optional[SamplingProfiler] = None
     gate: Optional[AdmissionGate] = None
@@ -514,8 +508,6 @@ class _Handler(BaseHTTPRequestHandler):
                 (self.registry or get_registry()).render(),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
-        elif url.path == "/alertz":
-            self._send_json(200, self._alertz())
         elif url.path == "/debug/slow":
             return self._handle_debug_slow(url)
         elif url.path == "/debug/pprof":
@@ -668,6 +660,8 @@ class _Handler(BaseHTTPRequestHandler):
             return True
         try:
             limit = int(limit_raw) if limit_raw else None
+            if limit is not None and limit < 0:
+                raise ValueError
         except ValueError:
             self._send_json(400, {"error": f"bad limit {limit_raw!r}"})
             return True
@@ -744,12 +738,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, payload, elapsed_ms=elapsed_ms)
         return False
 
-    def _alertz(self) -> dict:
-        """The SLO/alert status payload (``GET /alertz``)."""
-        if self.slo_engine is None:
-            return {"enabled": False, "slos": [], "transitions": 0}
-        return self.slo_engine.status()
-
     def _statz(self) -> dict:
         engine = self.system.engine
         payload = {
@@ -775,8 +763,6 @@ class _Handler(BaseHTTPRequestHandler):
         engine_breaker = getattr(engine, "breaker", None)
         if engine_breaker is not None:
             payload["breaker"] = engine_breaker.stats_dict()
-        if self.slo_engine is not None:
-            payload["slo"] = self.slo_engine.summary()
         if self.fleet is not None:
             payload["fleet"] = self.fleet.statz_dict()
         if self.profiler is not None:
@@ -998,11 +984,8 @@ class XKSearchServer(ThreadingHTTPServer):
         self._obs_registry: Optional[MetricsRegistry] = None
         self._obs_collector = None
         self._obs_exporter: Optional[TraceExporter] = None
-        self._obs_slo: Optional[SLOEngine] = None
-        self._obs_shipper: Optional[SnapshotShipper] = None
         self._obs_fleet: Optional[FleetCollector] = None
         self._obs_profiler: Optional[SamplingProfiler] = None
-        self._obs_slo_state: Optional[str] = None
 
     def process_request_thread(self, request, client_address):
         gate = self.admission_gate
@@ -1034,8 +1017,7 @@ class XKSearchServer(ThreadingHTTPServer):
 
     def server_close(self):
         if self._obs_fleet is not None:
-            # Stop the heartbeat before the pool goes away, and before
-            # the SLO engine's final evaluation scrapes the registry.
+            # Stop the heartbeat before the pool goes away.
             self._obs_fleet.close()
             self._obs_fleet = None
         if self._obs_profiler is not None:
@@ -1044,26 +1026,11 @@ class XKSearchServer(ThreadingHTTPServer):
         if self._obs_registry is not None and self._obs_collector is not None:
             self._obs_registry.unregister_collector(self._obs_collector)
             self._obs_collector = None
-        if self._obs_slo is not None and self._obs_slo_state is not None:
-            # Persist the burn-rate window rings before the engine stops
-            # evaluating, so a restart resumes mid-window.
-            try:
-                self._obs_slo.save_state(self._obs_slo_state)
-            except OSError as exc:
-                _log.warning("slo_state_save_failed", error=repr(exc))
-        if self._obs_slo is not None:
-            # Stop evaluating before the export pipelines close, so no
-            # transition record races a closing exporter.
-            self._obs_slo.close()
-            self._obs_slo = None
         if self._obs_exporter is not None:
             # Flush-on-shutdown: drain whatever the queue still holds,
             # then account the rest as dropped (reason="shutdown").
             self._obs_exporter.close()
             self._obs_exporter = None
-        if self._obs_shipper is not None:
-            self._obs_shipper.close()
-            self._obs_shipper = None
         super().server_close()
 
 
@@ -1077,11 +1044,8 @@ def make_server(
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
     exporter: Optional[TraceExporter] = None,
-    slo_engine: Optional[SLOEngine] = None,
-    shipper: Optional[SnapshotShipper] = None,
     fleet: Optional[FleetCollector] = None,
     profiler: Optional[SamplingProfiler] = None,
-    slo_state: Optional[str] = None,
     gate: Optional[AdmissionGate] = None,
     default_timeout_ms: Optional[float] = None,
 ) -> XKSearchServer:
@@ -1093,11 +1057,10 @@ def make_server(
     registered as a collector on *registry* (default: the process-global
     one) for the lifetime of the server; ``server_close`` unregisters it.
     An *exporter* receives every finished request trace (asynchronously —
-    the request path only enqueues) and is closed with the server.  A
-    *slo_engine* is surfaced on ``/alertz`` + ``/statz`` and closed first
-    on shutdown; a *shipper* (timed metrics snapshots) is closed last.
-    A *gate* sheds search requests at its watermarks (429 + Retry-After)
-    and tracks the in-flight count ``drain`` waits on;
+    the request path only enqueues) and is closed with the server, as
+    are a *fleet* collector and a *profiler*.  A *gate* sheds search
+    requests at its watermarks (429 + Retry-After) and tracks the
+    in-flight count ``drain`` waits on;
     *default_timeout_ms* deadlines every search request that does not
     carry its own budget.
     """
@@ -1112,7 +1075,6 @@ def make_server(
             "tracer": tracer if tracer is not None else Tracer(),
             "registry": registry,
             "exporter": exporter,
-            "slo_engine": slo_engine,
             "fleet": fleet,
             "profiler": profiler,
             "gate": gate,
@@ -1127,11 +1089,8 @@ def make_server(
     server._obs_registry = registry
     server._obs_collector = collector
     server._obs_exporter = exporter
-    server._obs_slo = slo_engine
-    server._obs_shipper = shipper
     server._obs_fleet = fleet
     server._obs_profiler = profiler
-    server._obs_slo_state = slo_state
     return server
 
 
@@ -1151,15 +1110,7 @@ def serve(
     log_sample: Optional[float] = None,
     workers_proc: int = 0,
     use_segments: bool = True,
-    snapshot_every: Optional[float] = None,
-    snapshot_otlp: bool = False,
-    slo_specs: Optional[Sequence[str]] = None,
-    slo_enabled: bool = True,
-    slo_window_scale: float = 1.0,
-    debug_latency_ms: float = 0.0,
     profile_hz: float = 0.0,
-    alert_webhook: Optional[str] = None,
-    slo_state: Optional[str] = None,
     default_timeout_ms: Optional[float] = None,
     verify_checksums: bool = False,
     admission_soft: Optional[int] = None,
@@ -1179,16 +1130,6 @@ def serve(
     chatter per (component, event) stream (WARN+ and traced requests
     always pass — see :func:`repro.obs.logging.set_log_sampling`).
 
-    **SLOs** are evaluated by default (:func:`~repro.obs.slo.default_slos`;
-    override with ``slo_specs`` spec strings, disable with
-    ``slo_enabled=False``): burn rates over the Google-SRE paired windows,
-    alert state on ``/alertz`` + ``/statz`` + gauges, transitions through
-    the snapshot/trace export pipeline.  ``slo_window_scale`` shrinks every
-    alerting window (CI makes hours into seconds).  ``snapshot_every``
-    ships a full metrics snapshot to the export sink on that period
-    (``snapshot_otlp`` shapes it as OTLP-style JSON).  ``debug_latency_ms``
-    injects artificial execution latency — the end-to-end alert drill.
-
     ``workers_proc > 0`` adds a pool of that many **worker processes**
     executing cache-miss queries over mmap'd read-only index handles, with
     a cross-process shared result cache; every process maps the same
@@ -1206,11 +1147,7 @@ def serve(
     rollups on ``/metrics`` and a ``fleet`` section on ``/statz``.
     ``profile_hz > 0`` starts the sampling profiler (parent *and* each
     worker) feeding ``GET /debug/pprof``; heap snapshots live at
-    ``GET /debug/heap``.  ``alert_webhook`` POSTs every SLO alert
-    transition record to that URL through its own background exporter
-    (in addition to the regular export pipeline).  ``slo_state`` persists
-    the SLO burn-rate windows across restarts: loaded (with a staleness
-    clamp) before serving, saved on shutdown.
+    ``GET /debug/heap``.
 
     **Robustness** (docs/ROBUSTNESS.md): ``default_timeout_ms`` deadlines
     every search request that does not carry ``X-Deadline-Ms`` /
@@ -1236,66 +1173,13 @@ def serve(
         set_log_sampling(log_sample)
     cache = QueryCache(result_capacity=cache_size) if cache_size > 0 else None
     tracer = Tracer(sample_rate=trace_sample, slow_threshold_ms=slow_ms)
-    # The trace exporter and the snapshot shipper share one sink instance
-    # (same file / same collector); both pipelines closing it is safe —
-    # JsonlFileSink reopens lazily and close() is idempotent.
-    sink = None
-    if export_jsonl:
-        sink = JsonlFileSink(export_jsonl)
-    elif export_url:
-        sink = HttpCollectorSink(export_url, timeout=export_timeout)
     exporter: Optional[TraceExporter] = None
-    if sink is not None:
-        exporter = TraceExporter(sink)
-    shipper: Optional[SnapshotShipper] = None
-    if snapshot_every is not None and snapshot_every > 0:
-        if sink is None:
-            raise ValueError(
-                "snapshot shipping needs an export sink "
-                "(--export-jsonl or --export-url)"
-            )
-        shipper = SnapshotShipper(
-            sink=sink, interval=snapshot_every, otlp=snapshot_otlp
+    if export_jsonl:
+        exporter = TraceExporter(JsonlFileSink(export_jsonl))
+    elif export_url:
+        exporter = TraceExporter(
+            HttpCollectorSink(export_url, timeout=export_timeout)
         )
-    webhook_exporter = None
-    if alert_webhook:
-        from repro.obs.export import BackgroundExporter
-
-        webhook_exporter = BackgroundExporter(
-            HttpCollectorSink(alert_webhook, timeout=export_timeout),
-            name="alert-webhook",
-        )
-        webhook_exporter.kind = "alert"
-    slo_engine: Optional[SLOEngine] = None
-    if slo_enabled:
-        slos = (
-            [parse_slo(spec) for spec in slo_specs] if slo_specs else default_slos()
-        )
-        policy = WindowPolicy()
-        if slo_window_scale != 1.0:
-            policy = policy.scaled(slo_window_scale)
-        # Alert records ride the snapshot pipeline when one exists, else
-        # the trace pipeline; with no sink they stay in-process (gauges,
-        # /alertz and logs still work).  An --alert-webhook fans them out
-        # to its own background POST pipeline on top of that.
-        alert_exporter = shipper if shipper is not None else exporter
-        if webhook_exporter is not None:
-            from repro.obs.export import FanoutExporter
-
-            # The webhook pipeline is closed separately below; the main
-            # pipeline is owned by the server shutdown path.
-            alert_exporter = FanoutExporter(
-                [alert_exporter, webhook_exporter], owns=()
-            )
-        slo_engine = SLOEngine(
-            slos=slos,
-            policy=policy,
-            eval_interval=min(5.0, max(0.2, policy.resolution_s)),
-            exporter=alert_exporter,
-        )
-        if slo_state:
-            slo_engine.load_state(slo_state)
-        slo_engine.start()
     shared_cache = None
     pool = None
     if workers_proc > 0:
@@ -1332,9 +1216,6 @@ def serve(
         ) as system:
             if pool is not None:
                 system.engine.attach_pool(pool)
-            if debug_latency_ms > 0:
-                system.engine.debug_latency_ms = debug_latency_ms
-                _log.warning("debug_latency_enabled", ms=debug_latency_ms)
             gate = AdmissionGate(
                 soft_limit=(
                     admission_soft if admission_soft is not None
@@ -1354,11 +1235,8 @@ def serve(
                 max_workers=max_workers,
                 tracer=tracer,
                 exporter=exporter,
-                slo_engine=slo_engine,
-                shipper=shipper,
                 fleet=fleet,
                 profiler=profiler,
-                slo_state=slo_state,
                 gate=gate,
                 default_timeout_ms=default_timeout_ms,
             )
@@ -1366,7 +1244,7 @@ def serve(
             # thread — shutdown() deadlocks when called from serve_forever's
             # own thread, and a signal handler runs on the main thread),
             # then the normal shutdown path below drains in-flight work
-            # before the exporters flush and the pool closes.
+            # before the exporter flushes and the pool closes.
             def _on_sigterm(signum, frame):  # noqa: ARG001 (signal ABI)
                 _log.warning("sigterm_draining")
                 threading.Thread(
@@ -1383,13 +1261,6 @@ def serve(
             export_note = ""
             if exporter is not None:
                 export_note = f", exporting traces to {exporter.sink.describe()}"
-            if shipper is not None:
-                export_note += f", snapshots every {snapshot_every:g}s"
-            slo_note = (
-                f", {len(slo_engine.slos)} SLOs at /alertz"
-                if slo_engine is not None
-                else ""
-            )
             pool_note = f", {pool.size} proc workers" if pool is not None else ""
             profile_note = (
                 f", profiler at /debug/pprof ({profile_hz:g} Hz)"
@@ -1402,7 +1273,7 @@ def serve(
                 f"cache={'off' if cache is None else cache_size}, "
                 f"segments={'on' if use_segments else 'off'}, "
                 f"slow log at /debug/slow >= {slow_ms:.0f} ms"
-                f"{export_note}{slo_note}; "
+                f"{export_note}; "
                 f"Ctrl-C to stop)"
             )
             try:
@@ -1413,8 +1284,8 @@ def serve(
                 leftover = server.drain(drain_timeout_s)
                 if leftover:
                     _log.warning("drain_timeout", inflight=leftover)
-                # server_close flushes exporters and the SLO engine; the
-                # outer finally closes the pool and shared caches after.
+                # server_close flushes the exporter; the outer finally
+                # closes the pool and shared caches after.
                 server.server_close()
     finally:
         # Idempotent: server_close() already closed these on the normal
@@ -1423,12 +1294,6 @@ def serve(
             fleet.close()
         if profiler is not None:
             profiler.close()
-        if slo_engine is not None:
-            slo_engine.close()
-        if webhook_exporter is not None:
-            webhook_exporter.close()
-        if shipper is not None:
-            shipper.close()
         if exporter is not None:
             exporter.close()
         if pool is not None:

@@ -19,6 +19,7 @@ working over a parsed tree held in memory.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.index.builder import build_index
@@ -31,6 +32,11 @@ from repro.xksearch.results import SearchResult, decorate_result
 from repro.xmltree.dewey import DeweyTuple
 from repro.xmltree.parser import parse_file
 from repro.xmltree.tree import XMLTree
+
+
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
 
 
 class XKSearch:
@@ -131,13 +137,11 @@ class XKSearch:
         algorithm: str = "auto",
         limit: Optional[int] = None,
     ) -> List[SearchResult]:
-        """SLCAs of the query as decorated results (document order)."""
-        results: List[SearchResult] = []
-        for dewey in self.search_ids(query, algorithm=algorithm):
-            results.append(self._decorate(dewey, query))
-            if limit is not None and len(results) >= limit:
-                break
-        return results
+        """SLCAs of the query as decorated results (document order),
+        at most *limit* of them."""
+        _check_limit(limit)
+        ids = self.search_ids(query, algorithm=algorithm)
+        return [self._decorate(dewey, query) for dewey in islice(ids, limit)]
 
     def search_ids(
         self,
@@ -183,6 +187,7 @@ class XKSearch:
         """
         from repro.xksearch.ranking import rank_results
 
+        _check_limit(limit)
         results = self.search(query, algorithm=algorithm)
         ranked = rank_results(results)
         return ranked[:limit] if limit is not None else ranked

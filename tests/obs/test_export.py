@@ -24,7 +24,6 @@ from repro.obs.export import (
     HttpCollectorSink,
     JsonlFileSink,
     MemorySink,
-    MetricsExporter,
     TraceExporter,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -265,136 +264,6 @@ class TestTraceExporter:
         assert "exported_at" in record
 
 
-class TestMetricsExporter:
-    def test_snapshot_ships_registry_samples(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d").inc(3)
-        sink = MemorySink()
-        exporter = MetricsExporter(
-            registry=registry, sink=sink, interval=3600.0, flush_interval=0.01
-        )
-        exporter.snapshot()
-        exporter.close()
-        assert len(sink) == 1
-        record = sink.records[0]
-        assert record["kind"] == "metrics"
-        names = {sample["name"] for sample in record["samples"]}
-        assert "demo_total" in names
-        # The exporter's own pipeline metrics are excluded from snapshots.
-        assert not any(name.startswith("xks_export_") for name in names)
-
-
-class TestOtlpRecord:
-    def _samples(self):
-        from repro.obs.metrics import Sample
-
-        return [
-            Sample("xks_queries_total", 7.0, {"algorithm": "il"}, kind="counter"),
-            Sample("xks_cache_entries", 3.0, {}, kind="gauge"),
-            Sample(
-                "xks_query_exec_ms_bucket", 5.0, {"le": "16"}, kind="histogram"
-            ),
-        ]
-
-    def test_counters_and_histograms_become_monotonic_sums(self):
-        from repro.obs.export import otlp_metrics_record
-
-        record = otlp_metrics_record(self._samples(), ts=100.0)
-        metrics = {
-            m["name"]: m
-            for m in record["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        }
-        for name in ("xks_queries_total", "xks_query_exec_ms_bucket"):
-            sum_block = metrics[name]["sum"]
-            assert sum_block["aggregationTemporality"] == 2  # CUMULATIVE
-            assert sum_block["isMonotonic"] is True
-        assert "gauge" in metrics["xks_cache_entries"]
-        point = metrics["xks_queries_total"]["sum"]["dataPoints"][0]
-        assert point["asDouble"] == 7.0
-        assert point["timeUnixNano"] == int(100.0 * 1e9)
-        assert point["attributes"] == [
-            {"key": "algorithm", "value": {"stringValue": "il"}}
-        ]
-
-    def test_resource_carries_service_name(self):
-        from repro.obs.export import otlp_metrics_record
-
-        record = otlp_metrics_record([], ts=1.0, service_name="svc")
-        attrs = record["resourceMetrics"][0]["resource"]["attributes"]
-        assert {"key": "service.name", "value": {"stringValue": "svc"}} in attrs
-        assert record["format"] == "otlp"
-        json.dumps(record)  # collector-ready JSON
-
-
-class TestSnapshotShipper:
-    def _shipper(self, sink, registry, **kwargs):
-        from repro.obs.export import SnapshotShipper
-
-        kwargs.setdefault("interval", 3600.0)
-        kwargs.setdefault("flush_interval", 0.01)
-        return SnapshotShipper(registry=registry, sink=sink, **kwargs)
-
-    def test_flat_snapshot_record(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d").inc(2)
-        sink = MemorySink()
-        shipper = self._shipper(sink, registry)
-        shipper.snapshot()
-        shipper.close()
-        (record,) = sink.records
-        assert record["kind"] == "metrics"
-        assert {"name": "demo_total", "labels": {}, "value": 2.0} in record[
-            "samples"
-        ]
-
-    def test_otlp_snapshot_record(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d").inc(2)
-        sink = MemorySink()
-        shipper = self._shipper(sink, registry, otlp=True)
-        shipper.snapshot()
-        shipper.close()
-        (record,) = sink.records
-        assert record["format"] == "otlp"
-        metrics = record["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
-        assert any(m["name"] == "demo_total" and "sum" in m for m in metrics)
-
-    def test_alerts_and_snapshots_share_the_pipeline(self):
-        registry = MetricsRegistry()
-        sink = MemorySink()
-        shipper = self._shipper(sink, registry)
-        alert = {"kind": "alert", "alert": "lat:fast", "from": "ok", "to": "firing"}
-        assert shipper.ship_alert(alert)
-        shipper.snapshot()
-        shipper.close()
-        kinds = [record["kind"] for record in sink.records]
-        assert kinds == ["alert", "metrics"]
-        stats = shipper.stats.as_dict()
-        assert stats["submitted"] == 2
-        assert stats["submitted"] == stats["sent"] + stats["dropped_total"]
-
-    def test_timer_ships_without_explicit_snapshot_calls(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "d").inc()
-        sink = MemorySink()
-        shipper = self._shipper(sink, registry, interval=0.02)
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and len(sink) < 2:
-            time.sleep(0.01)
-        shipper.close()
-        assert len(sink) >= 2  # the flusher thread snapshots on its own
-
-    def test_pipeline_metrics_use_snapshot_exporter_label(self):
-        registry = MetricsRegistry()
-        sink = MemorySink()
-        shipper = self._shipper(sink, registry)
-        shipper.snapshot()
-        shipper.flush(5.0)
-        shipper.close()
-        rendered = registry.render()
-        assert 'xks_export_sent_total{exporter="snapshot"} 1' in rendered
-
-
 class TestHttpSinkHardening:
     def test_non_positive_timeout_rejected(self):
         for bad in (None, 0, -1.0):
@@ -433,54 +302,3 @@ class TestHttpSinkHardening:
             server.server_close()
         assert seen["content_type"] == "application/json"
         assert json.loads(seen["body"])["records"][0]["to"] == "firing"
-
-
-class TestFanoutExporter:
-    def test_fans_out_to_every_target(self):
-        from repro.obs.export import FanoutExporter
-
-        sink_a, sink_b = MemorySink(), MemorySink()
-        fanout = FanoutExporter([fast_exporter(sink_a), fast_exporter(sink_b)])
-        assert fanout.submit({"kind": "alert", "to": "firing"})
-        assert fanout.flush(5.0)
-        fanout.close()
-        assert len(sink_a) == 1 and len(sink_b) == 1
-
-    def test_dead_target_does_not_steal_from_live_one(self):
-        from repro.obs.export import FanoutExporter
-
-        live = MemorySink()
-        fanout = FanoutExporter(
-            [
-                fast_exporter(DeadSink(), max_retries=0),
-                fast_exporter(live),
-            ]
-        )
-        assert fanout.submit({"i": 1})  # accepted by at least one queue
-        fanout.flush(5.0)
-        fanout.close(flush_timeout=0.5)
-        assert len(live) == 1
-
-    def test_none_targets_filtered_empty_rejected(self):
-        from repro.obs.export import FanoutExporter
-
-        sink = MemorySink()
-        fanout = FanoutExporter([None, fast_exporter(sink)])
-        assert len(fanout.targets) == 1
-        fanout.close()
-        with pytest.raises(ValueError):
-            FanoutExporter([None])
-
-    def test_owns_controls_which_targets_close(self):
-        from repro.obs.export import FanoutExporter
-
-        shared_sink, owned_sink = MemorySink(), MemorySink()
-        shared = fast_exporter(shared_sink)
-        owned = fast_exporter(owned_sink)
-        fanout = FanoutExporter([shared, owned], owns=[owned])
-        fanout.submit({"i": 1})
-        fanout.close()  # closes only the owned exporter
-        assert shared.submit({"i": 2})  # the shared one still runs
-        shared.close()
-        assert len(shared_sink) == 2
-        assert len(owned_sink) == 1

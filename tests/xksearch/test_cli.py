@@ -62,6 +62,10 @@ class TestSearch:
     def test_search_limit(self, index_dir, capsys):
         assert main(["search", index_dir, "John Ben", "--limit", "1"]) == 0
         assert "1 SLCA answer(s)" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", index_dir, "John Ben", "--limit", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
 
     def test_search_algorithm_flag(self, index_dir, capsys):
         assert main(["search", index_dir, "John Ben", "--algorithm", "stack"]) == 0

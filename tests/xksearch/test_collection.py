@@ -86,6 +86,9 @@ class TestCollection:
 
     def test_limit(self, collection):
         assert len(collection.search("john ben", limit=2)) == 2
+        assert collection.search("john ben", limit=0) == []
+        with pytest.raises(ValueError):
+            collection.search("john ben", limit=-1)
 
     def test_str_of_result(self, collection):
         result = collection.search("john ben")[0]

@@ -55,6 +55,11 @@ class TestSearchSurface:
     def test_limit(self, school):
         system = XKSearch.from_tree(school)
         assert len(system.search("john ben", limit=2)) == 2
+        for search in (system.search, system.search_ranked):
+            assert search("john ben", limit=0) == []
+            for bad in (-1, -3):
+                with pytest.raises(ValueError):
+                    search("john ben", limit=bad)
 
     def test_search_ids_streams(self, school):
         system = XKSearch.from_tree(school)
