@@ -50,7 +50,9 @@ FREQUENCY_NAME = "frequency.json"
 TAGS_NAME = "tags.json"
 INDEX_FILE_NAME = "index.db"
 DOCUMENT_NAME = "document.xml"
-FORMAT_VERSION = 1
+#: 2: slotted B+tree leaves (:mod:`repro.storage.bptree`); version 1
+#: indexes hold the old leaf format and are refused, to be rebuilt.
+FORMAT_VERSION = 2
 #: How the scan tree's blocks are keyed (:mod:`repro.storage.records`),
 #: recorded in the manifest: the scheme ``IndexUpdater`` edits in place.
 SCAN_KEYS = "first-posting"
@@ -293,8 +295,13 @@ def load_manifest(index_dir: Union[str, os.PathLike]) -> Dict:
         from repro.errors import IndexNotFoundError
 
         raise IndexNotFoundError(f"no index manifest at {path}") from None
-    if manifest.get("version") != FORMAT_VERSION:
+    version = manifest.get("version")
+    if isinstance(version, int) and version < FORMAT_VERSION:
         raise IndexFormatError(
-            f"index format version {manifest.get('version')} is not supported"
+            f"index at {os.fspath(index_dir)} (format version {version}) predates "
+            f"the current page format (version {FORMAT_VERSION}); rebuild it "
+            "from its document with `xksearch build`"
         )
+    if version != FORMAT_VERSION:
+        raise IndexFormatError(f"index format version {version} is not supported")
     return manifest

@@ -18,52 +18,137 @@ Supported operations map one-to-one onto what the algorithms need:
 * ``internal_page_ids`` — so the index layer can pin non-leaf pages,
   realizing the paper's "non-leaf nodes are cached" disk-cost assumption.
 
-Page layout (both node kinds start with ``type:u8, nkeys:u16``):
+Page layout (both node kinds start with ``type:u8, nkeys:u16``; every
+integer is big-endian):
 
-* leaf: ``next_leaf:u32`` then per entry ``klen:u16, vlen:u16, key, value``
+* leaf (slotted): ``next_leaf:u32``; the directory — ``nkeys+1`` ``u16``
+  record-end offsets (the first is 0) and ``nkeys`` ``u16`` key lengths;
+  the ``key‖value`` records, contiguous and in key order.  Record ``i`` is
+  ``records[end[i]:end[i+1]]``, its key the first ``klen[i]`` bytes.  A
+  lookup bisects the page in place; an edit splices it (header, directory
+  with the later offsets shifted, records before, new record, records
+  after) — no per-entry Python work either way.
 * internal: ``(nkeys+1) * child:u32`` then per key ``klen:u16, key``
 """
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import TreeCorruptError
+from repro.errors import PageError, TreeCorruptError
 from repro.storage.buffer_pool import BufferPool
 
 _LEAF = 1
 _INTERNAL = 0
 _LEAF_HEADER = 1 + 2 + 4
+_EMPTY_LEAF = _LEAF_HEADER + 2  # header + the first record offset
 _INTERNAL_HEADER = 1 + 2
+_SWAP_U16 = sys.byteorder == "little"
 
 Entry = Tuple[bytes, bytes]
 
 
+def _shift_u16s(raw: bytes, delta: int) -> bytes:
+    """*raw*'s big-endian ``u16``s, each plus *delta*: every result is an
+    in-page offset, so one big-integer addition carries across no lane."""
+    lanes = int.from_bytes(b"\x00\x01" * (len(raw) // 2), "big")
+    return (int.from_bytes(raw, "big") + delta * lanes).to_bytes(len(raw), "big")
+
+
 class _LeafNode:
-    __slots__ = ("keys", "values", "next_leaf")
+    """A slotted leaf, read in place: the page bytes (the buffer pool's own
+    object, not a copy) plus its directory as two arrays.
 
-    def __init__(self, keys: List[bytes], values: List[bytes], next_leaf: int):
-        self.keys = keys
-        self.values = values
-        self.next_leaf = next_leaf
+    Indexing a leaf yields its keys — ``leaf[i]``, ``len(leaf)`` — so
+    ``bisect`` runs over the page itself (``bisect(key=)`` needs 3.10).
+    """
 
-    def encoded_size(self) -> int:
-        payload = sum(len(k) + len(v) + 4 for k, v in zip(self.keys, self.values))
-        return _LEAF_HEADER + payload
+    __slots__ = ("page", "next_leaf", "ends", "klens", "base")
+
+    def __init__(self, page: bytes):
+        nkeys = int.from_bytes(page[1:3], "big")
+        self.base = base = _EMPTY_LEAF + 4 * nkeys
+        if base > len(page):
+            raise TreeCorruptError(f"leaf directory of {nkeys} entries overruns its page")
+        self.page = page
+        self.next_leaf = int.from_bytes(page[3:7], "big")
+        # The directory, big-endian on the page, in one C-level copy each.
+        self.ends = array("H", page[_LEAF_HEADER:_EMPTY_LEAF + 2 * nkeys])
+        self.klens = array("H", page[_EMPTY_LEAF + 2 * nkeys:base])
+        if _SWAP_U16:
+            self.ends.byteswap()
+            self.klens.byteswap()
+        if base + self.ends[nkeys] > len(page):
+            raise TreeCorruptError("leaf records overrun their page")
+
+    @classmethod
+    def pack(cls, entries: Sequence[Entry], next_leaf: int) -> "_LeafNode":
+        ends = [0]
+        for key, value in entries:
+            ends.append(ends[-1] + len(key) + len(value))
+        return cls(b"".join((
+            struct.pack(f">BHI{len(ends)}H", _LEAF, len(entries), next_leaf, *ends),
+            struct.pack(f">{len(entries)}H", *(len(key) for key, _ in entries)),
+            *chain.from_iterable(entries),
+        )))
+
+    def __len__(self) -> int:
+        return len(self.klens)
+
+    def __getitem__(self, i: int) -> bytes:
+        start = self.base + self.ends[i]
+        return self.page[start:start + self.klens[i]]
+
+    def entry(self, i: int) -> Entry:
+        start = self.base + self.ends[i]
+        split = start + self.klens[i]
+        return self.page[start:split], self.page[split:self.base + self.ends[i + 1]]
+
+    def entries(self) -> List[Entry]:
+        page, base, ends = self.page, self.base, self.ends
+        return [
+            (page[base + start:base + start + klen], page[base + start + klen:base + end])
+            for start, klen, end in zip(ends, self.klens, ends[1:])
+        ]
 
     def encode(self) -> bytes:
-        parts = [
-            bytes([_LEAF]),
-            len(self.keys).to_bytes(2, "big"),
-            self.next_leaf.to_bytes(4, "big"),
-        ]
-        for key, value in zip(self.keys, self.values):
-            parts.append(len(key).to_bytes(2, "big"))
-            parts.append(len(value).to_bytes(2, "big"))
-            parts.append(key)
-            parts.append(value)
-        return b"".join(parts)
+        return self.page
+
+    def spliced(self, i: int, j: int, entry: Optional[Entry]) -> bytes:
+        """The page with entries ``[i, j)`` replaced by *entry* (none if
+        ``None``): unchanged runs are copied as whole slices."""
+        page, base, n = self.page, self.base, len(self.klens)
+        start, stop = self.ends[i], self.ends[j]
+        klens_at = _EMPTY_LEAF + 2 * n
+        record = new_end = new_klen = b""
+        if entry is not None:
+            record = entry[0] + entry[1]
+            new_end = (start + len(record)).to_bytes(2, "big")
+            new_klen = len(entry[0]).to_bytes(2, "big")
+        nkeys = n - (j - i) + (entry is not None)
+        return b"".join((
+            page[:1], nkeys.to_bytes(2, "big"), page[3:_LEAF_HEADER],
+            page[_LEAF_HEADER:_EMPTY_LEAF + 2 * i], new_end,
+            _shift_u16s(page[_EMPTY_LEAF + 2 * j:klens_at], len(record) - (stop - start)),
+            page[klens_at:klens_at + 2 * i], new_klen, page[klens_at + 2 * j:base],
+            page[base:base + start], record, page[base + stop:base + self.ends[n]],
+        ))
+
+    def directory_problems(self) -> List[str]:
+        """What is wrong with the directory beyond the O(1) load checks."""
+        ends = self.ends
+        problems = [] if ends[0] == 0 else ["first record offset is not 0"]
+        for i, klen in enumerate(self.klens):
+            if ends[i + 1] < ends[i]:
+                problems.append(f"record offsets decrease at slot {i}")
+            elif klen > ends[i + 1] - ends[i]:
+                problems.append(f"key length overruns its record at slot {i}")
+        return problems
 
 
 class _InternalNode:
@@ -74,40 +159,21 @@ class _InternalNode:
         self.children = children
 
     def encoded_size(self) -> int:
-        return (
-            _INTERNAL_HEADER
-            + 4 * len(self.children)
-            + sum(len(k) + 2 for k in self.keys)
-        )
+        return _INTERNAL_HEADER + 4 * len(self.children) + sum(len(k) + 2 for k in self.keys)
 
     def encode(self) -> bytes:
-        parts = [bytes([_INTERNAL]), len(self.keys).to_bytes(2, "big")]
-        for child in self.children:
-            parts.append(child.to_bytes(4, "big"))
-        for key in self.keys:
-            parts.append(len(key).to_bytes(2, "big"))
-            parts.append(key)
-        return b"".join(parts)
+        return b"".join((
+            struct.pack(f">BH{len(self.children)}I", _INTERNAL, len(self.keys), *self.children),
+            *(len(key).to_bytes(2, "big") + key for key in self.keys),
+        ))
 
 
 def _decode(data: bytes):
     kind = data[0]
-    nkeys = int.from_bytes(data[1:3], "big")
     if kind == _LEAF:
-        next_leaf = int.from_bytes(data[3:7], "big")
-        keys: List[bytes] = []
-        values: List[bytes] = []
-        pos = _LEAF_HEADER
-        for _ in range(nkeys):
-            klen = int.from_bytes(data[pos:pos + 2], "big")
-            vlen = int.from_bytes(data[pos + 2:pos + 4], "big")
-            pos += 4
-            keys.append(data[pos:pos + klen])
-            pos += klen
-            values.append(data[pos:pos + vlen])
-            pos += vlen
-        return _LeafNode(keys, values, next_leaf)
+        return _LeafNode(data)
     if kind == _INTERNAL:
+        nkeys = int.from_bytes(data[1:3], "big")
         children: List[int] = []
         pos = _INTERNAL_HEADER
         for _ in range(nkeys + 1):
@@ -132,6 +198,8 @@ class BPlusTree:
     """
 
     def __init__(self, pool: BufferPool, name: str = "bptree"):
+        if pool.pager.page_size > 1 << 16:
+            raise PageError("B+tree leaves address records with u16 offsets: 64 KiB pages at most")
         self.pool = pool
         self.name = name
         self._meta_key = f"bptree.{name}.root"
@@ -144,7 +212,7 @@ class BPlusTree:
         root = self.pool.pager.get_meta(self._meta_key)
         if root is None:
             pid = self.pool.pager.allocate()
-            self._write_node(pid, _LeafNode([], [], 0))
+            self._write_node(pid, _LeafNode.pack([], 0))
             self.pool.pager.set_meta(self._meta_key, pid)
             root = pid
         self._root_pid = int(root)
@@ -162,8 +230,10 @@ class BPlusTree:
         return node
 
     def _write_node(self, pid: int, node) -> None:
-        self.pool.put_page(pid, node.encode())
-        self._decoded_cache.pop(pid, None)
+        data = node.encode()
+        self.pool.put_page(pid, data)
+        # The pool keeps *data* itself: the next read finds this node as is.
+        self._decoded_cache[pid] = (data, node)
 
     def _set_root(self, pid: int) -> None:
         self._root_pid = pid
@@ -174,7 +244,7 @@ class BPlusTree:
         return self.pool.pager.page_size
 
     def _check_entry_fits(self, key: bytes, value: bytes) -> None:
-        needed = _LEAF_HEADER + len(key) + len(value) + 4
+        needed = _EMPTY_LEAF + len(key) + len(value) + 4
         if needed > self.page_capacity:
             raise TreeCorruptError(
                 f"entry of {len(key)}+{len(value)} bytes cannot fit in a "
@@ -186,9 +256,9 @@ class BPlusTree:
     def search(self, key: bytes) -> Optional[bytes]:
         """Value stored under *key*, or ``None``."""
         leaf = self._read_node(self._descend(key))
-        i = bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            return leaf.values[i]
+        i = bisect_left(leaf, key)
+        if i < len(leaf) and leaf[i] == key:
+            return leaf.entry(i)[1]
         return None
 
     def _descend(self, key: bytes) -> int:
@@ -202,16 +272,8 @@ class BPlusTree:
 
     def ceiling_entry(self, key: bytes) -> Optional[Entry]:
         """Smallest entry with key >= *key* — the disk right match (rm)."""
-        pid = self._descend(key)
-        leaf = self._read_node(pid)
-        i = bisect_left(leaf.keys, key)
-        while i >= len(leaf.keys):
-            if not leaf.next_leaf:
-                return None
-            pid = leaf.next_leaf
-            leaf = self._read_node(pid)
-            i = 0
-        return leaf.keys[i], leaf.values[i]
+        leaf = self._read_node(self._descend(key))
+        return self._ceiling_from(leaf, bisect_left(leaf, key))
 
     def floor_entry(self, key: bytes) -> Optional[Entry]:
         """Largest entry with key <= *key* — the disk left match (lm).
@@ -222,26 +284,8 @@ class BPlusTree:
         immediately left of that point (one extra partial descent; internal
         pages are pinned in practice, so this costs no physical I/O).
         """
-        node = self._read_node(self._root_pid)
-        # Remember every place the descent had subtrees to its left; if the
-        # target leaf holds nothing <= key (possible after deletions empty
-        # leaves), the floor is the rightmost entry among those subtrees,
-        # searched deepest-first, right to left.
-        branch_points: List[List[int]] = []
-        while isinstance(node, _InternalNode):
-            slot = bisect_right(node.keys, key)
-            if slot > 0:
-                branch_points.append(node.children[:slot])
-            node = self._read_node(node.children[slot])
-        i = bisect_right(node.keys, key)
-        if i > 0:
-            return node.keys[i - 1], node.values[i - 1]
-        for left_children in reversed(branch_points):
-            for child in reversed(left_children):
-                entry = self._rightmost_entry(child)
-                if entry is not None:
-                    return entry
-        return None
+        leaf, branch_points = self._descend_noting_left(key)
+        return self._floor_from(leaf, bisect_right(leaf, key), branch_points)
 
     def neighbors(self, key: bytes) -> Tuple[Optional[Entry], Optional[Entry]]:
         """``(floor_entry(key), ceiling_entry(key))`` from **one** descent.
@@ -252,6 +296,16 @@ class BPlusTree:
         descent recording the floor branch points serves both.  When the
         key itself is present, both entries are that key.
         """
+        leaf, branch_points = self._descend_noting_left(key)
+        i = bisect_left(leaf, key)  # keys are unique: one bisect serves both
+        ceiling = self._ceiling_from(leaf, i)
+        if ceiling is not None and ceiling[0] == key:
+            return ceiling, ceiling
+        return self._floor_from(leaf, i, branch_points), ceiling
+
+    def _descend_noting_left(self, key: bytes) -> Tuple[_LeafNode, List[List[int]]]:
+        """The leaf that owns *key*, and every place the descent had
+        subtrees to its left (the children left of the one taken)."""
         node = self._read_node(self._root_pid)
         branch_points: List[List[int]] = []
         while isinstance(node, _InternalNode):
@@ -259,29 +313,30 @@ class BPlusTree:
             if slot > 0:
                 branch_points.append(node.children[:slot])
             node = self._read_node(node.children[slot])
-        # Ceiling: first entry >= key, walking the forward leaf chain past
-        # leaves emptied by deletions (same loop as ceiling_entry).
-        ceiling: Optional[Entry] = None
-        leaf, i = node, bisect_left(node.keys, key)
-        while True:
-            if i < len(leaf.keys):
-                ceiling = (leaf.keys[i], leaf.values[i])
-                break
+        return node, branch_points
+
+    def _ceiling_from(self, leaf: _LeafNode, i: int) -> Optional[Entry]:
+        """Entry *i* of *leaf*, or the first one after it along the forward
+        leaf chain, past leaves emptied by deletions."""
+        while i >= len(leaf):
             if not leaf.next_leaf:
-                break
+                return None
             leaf = self._read_node(leaf.next_leaf)
             i = 0
-        # Floor: last entry <= key in the target leaf, else the rightmost
-        # entry among the recorded left subtrees (same as floor_entry).
-        j = bisect_right(node.keys, key)
-        if j > 0:
-            return (node.keys[j - 1], node.values[j - 1]), ceiling
+        return leaf.entry(i)
+
+    def _floor_from(self, leaf: _LeafNode, i: int, branch_points: list) -> Optional[Entry]:
+        """Entry ``i - 1`` of *leaf*; for ``i == 0`` (possible after
+        deletions empty leaves), the rightmost entry among the left
+        subtrees of the descent, searched deepest-first, right to left."""
+        if i > 0:
+            return leaf.entry(i - 1)
         for left_children in reversed(branch_points):
             for child in reversed(left_children):
                 entry = self._rightmost_entry(child)
                 if entry is not None:
-                    return entry, ceiling
-        return None, ceiling
+                    return entry
+        return None
 
     def _rightmost_entry(self, pid: int) -> Optional[Entry]:
         """Largest entry in the subtree at *pid*, skipping leaves emptied by
@@ -293,26 +348,21 @@ class BPlusTree:
                 if entry is not None:
                     return entry
             return None
-        if not node.keys:
-            return None
-        return node.keys[-1], node.values[-1]
+        return node.entry(len(node) - 1) if len(node) else None
 
-    def scan(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-    ) -> Iterator[Entry]:
+    def scan(self, start: Optional[bytes] = None, end: Optional[bytes] = None) -> Iterator[Entry]:
         """Entries with start <= key < end, in key order, via the leaf chain."""
         pid = self._descend(start) if start is not None else self._first_leaf()
         leaf = self._read_node(pid)
-        i = bisect_left(leaf.keys, start) if start is not None else 0
+        i = bisect_left(leaf, start) if start is not None else 0
         while True:
-            while i < len(leaf.keys):
-                key = leaf.keys[i]
+            page, base, ends = leaf.page, leaf.base, leaf.ends
+            for at, klen, stop in zip(ends[i:], leaf.klens[i:], ends[i + 1:]):
+                at += base
+                key = page[at:at + klen]
                 if end is not None and key >= end:
                     return
-                yield key, leaf.values[i]
-                i += 1
+                yield key, page[at + klen:base + stop]
             if not leaf.next_leaf:
                 return
             leaf = self._read_node(leaf.next_leaf)
@@ -342,8 +392,9 @@ class BPlusTree:
     def check_invariants(self) -> List[str]:
         """Verify the structural invariants; returns violation messages.
 
-        Checks, over the whole tree: keys sorted within every node; every
-        key in child ``i`` of an internal node lies in
+        Checks, over the whole tree: every leaf's directory (offsets
+        non-decreasing, each key within its record); keys sorted within
+        every node; every key in child ``i`` of an internal node lies in
         ``[separator[i-1], separator[i])``; the leaf chain visits exactly
         the leaves in left-to-right order.  Used by ``xksearch verify``.
         """
@@ -352,7 +403,11 @@ class BPlusTree:
 
         def walk(pid: int, lo: Optional[bytes], hi: Optional[bytes]) -> None:
             node = self._read_node(pid)
-            keys = node.keys
+            if isinstance(node, _LeafNode):
+                problems.extend(f"page {pid}: {p}" for p in node.directory_problems())
+                keys = [key for key, _ in node.entries()]
+            else:
+                keys = node.keys
             for i in range(len(keys) - 1):
                 if keys[i] >= keys[i + 1]:
                     problems.append(f"page {pid}: keys out of order at slot {i}")
@@ -407,8 +462,7 @@ class BPlusTree:
         pid = self._first_leaf()
         while pid:
             pids.append(pid)
-            leaf = self._read_node(pid)
-            pid = leaf.next_leaf
+            pid = self._read_node(pid).next_leaf
         return pids
 
     # -- insertion ---------------------------------------------------------------
@@ -430,17 +484,17 @@ class BPlusTree:
         ``None``."""
         node = self._read_node(pid)
         if isinstance(node, _LeafNode):
-            i = bisect_left(node.keys, key)
-            is_new = i == len(node.keys) or node.keys[i] != key
-            if is_new:
-                node.keys.insert(i, key)
-                node.values.insert(i, value)
-            else:
-                node.values[i] = value
-            if node.encoded_size() <= self.page_capacity:
-                self._write_node(pid, node)
+            i = bisect_left(node, key)
+            is_new = i == len(node) or node[i] != key
+            j = i + (not is_new)
+            ends = node.ends
+            grown = 4 * is_new + len(key) + len(value) - (ends[j] - ends[i])
+            if node.base + ends[-1] + grown <= self.page_capacity:
+                self._write_node(pid, _LeafNode(node.spliced(i, j, (key, value))))
                 return is_new, None
-            return is_new, self._split_leaf(pid, node)
+            entries = node.entries()
+            entries[i:j] = [(key, value)]
+            return is_new, self._split_leaf(pid, entries, node.next_leaf)
         slot = bisect_right(node.keys, key)
         is_new, split = self._insert_into(node.children[slot], key, value)
         if split is None:
@@ -453,14 +507,12 @@ class BPlusTree:
             return is_new, None
         return is_new, self._split_internal(pid, node)
 
-    def _split_leaf(self, pid: int, node: _LeafNode):
-        mid = self._split_point(node.keys, node.values)
-        right = _LeafNode(node.keys[mid:], node.values[mid:], node.next_leaf)
+    def _split_leaf(self, pid: int, entries: List[Entry], next_leaf: int):
+        mid = self._split_point(entries)
         right_pid = self.pool.pager.allocate()
-        left = _LeafNode(node.keys[:mid], node.values[:mid], right_pid)
-        self._write_node(right_pid, right)
-        self._write_node(pid, left)
-        return right.keys[0], right_pid
+        self._write_node(right_pid, _LeafNode.pack(entries[mid:], next_leaf))
+        self._write_node(pid, _LeafNode.pack(entries[:mid], right_pid))
+        return entries[mid][0], right_pid
 
     def _split_internal(self, pid: int, node: _InternalNode):
         mid = len(node.keys) // 2
@@ -473,15 +525,15 @@ class BPlusTree:
         return sep, right_pid
 
     @staticmethod
-    def _split_point(keys: List[bytes], values: List[bytes]) -> int:
+    def _split_point(entries: List[Entry]) -> int:
         """Index splitting the entries into two roughly equal byte halves."""
-        total = sum(len(k) + len(v) + 4 for k, v in zip(keys, values))
+        total = sum(len(k) + len(v) + 4 for k, v in entries)
         acc = 0
-        for i, (k, v) in enumerate(zip(keys, values)):
+        for i, (k, v) in enumerate(entries):
             acc += len(k) + len(v) + 4
             if acc >= total // 2:
-                return min(max(i + 1, 1), len(keys) - 1)
-        return len(keys) // 2
+                return min(max(i + 1, 1), len(entries) - 1)
+        return len(entries) // 2
 
     def delete(self, key: bytes) -> bool:
         """Remove the entry for *key*; True if it existed.
@@ -494,12 +546,10 @@ class BPlusTree:
         """
         pid = self._descend(key)
         leaf = self._read_node(pid)
-        i = bisect_left(leaf.keys, key)
-        if i >= len(leaf.keys) or leaf.keys[i] != key:
+        i = bisect_left(leaf, key)
+        if i >= len(leaf) or leaf[i] != key:
             return False
-        del leaf.keys[i]
-        del leaf.values[i]
-        self._write_node(pid, leaf)
+        self._write_node(pid, _LeafNode(leaf.spliced(i, i + 1, None)))
         return True
 
     # -- bulk loading --------------------------------------------------------------
@@ -508,66 +558,57 @@ class BPlusTree:
         """Build the tree from entries already sorted by key.
 
         Leaves are allocated consecutively so that a full scan reads pages
-        sequentially, then internal levels are built bottom-up.  The tree
-        must be empty.  Returns the number of entries loaded.
+        sequentially, then internal levels are built bottom-up.  Each page
+        is written once: a leaf is held back until its successor's page id,
+        its ``next_leaf``, is known.  The tree must be empty.  Returns the
+        number of entries loaded.
         """
         if not 0.1 <= fill_factor <= 1.0:
             raise ValueError("fill_factor must be in [0.1, 1.0]")
         root = self._read_node(self._root_pid)
-        if isinstance(root, _InternalNode) or root.keys:
+        if isinstance(root, _InternalNode) or len(root):
             raise TreeCorruptError("bulk_load requires an empty tree")
-        budget = int(self.page_capacity * fill_factor)
         leaf_pids: List[int] = []
         first_keys: List[bytes] = []
         count = 0
-
-        keys: List[bytes] = []
-        values: List[bytes] = []
-        size = _LEAF_HEADER
-        prev_key: Optional[bytes] = None
-
-        def flush_leaf() -> None:
-            nonlocal keys, values, size
+        held: List[Entry] = []
+        for chunk in self._leaf_runs(entries, int(self.page_capacity * fill_factor)):
             pid = self.pool.pager.allocate()
+            if held:
+                self._write_node(leaf_pids[-1], _LeafNode.pack(held, pid))
             leaf_pids.append(pid)
-            first_keys.append(keys[0])
-            # next_leaf patched below once the following pid is known; store
-            # provisional 0 now.
-            self._write_node(pid, _LeafNode(keys, values, 0))
-            keys, values, size = [], [], _LEAF_HEADER
-
-        for key, value in entries:
-            if prev_key is not None and key <= prev_key:
-                raise TreeCorruptError(
-                    f"bulk_load input not strictly sorted at key {key!r}"
-                )
-            prev_key = key
-            self._check_entry_fits(key, value)
-            entry_size = len(key) + len(value) + 4
-            if keys and size + entry_size > budget:
-                flush_leaf()
-            keys.append(key)
-            values.append(value)
-            size += entry_size
-            count += 1
-        if keys:
-            flush_leaf()
+            first_keys.append(chunk[0][0])
+            count += len(chunk)
+            held = chunk
         if not leaf_pids:
             return 0
+        self._write_node(leaf_pids[-1], _LeafNode.pack(held, 0))
 
-        # Patch the leaf chain (consecutive pids by construction, but be
-        # explicit rather than assume allocation order).
-        for i, pid in enumerate(leaf_pids[:-1]):
-            node = self._read_node(pid)
-            node.next_leaf = leaf_pids[i + 1]
-            self._write_node(pid, node)
-
-        level_pids = leaf_pids
-        level_keys = first_keys
+        level_pids, level_keys = leaf_pids, first_keys
         while len(level_pids) > 1:
             level_pids, level_keys = self._build_internal_level(level_pids, level_keys)
         self._set_root(level_pids[0])
         return count
+
+    def _leaf_runs(self, entries: Iterable[Entry], budget: int) -> Iterator[List[Entry]]:
+        """Strictly sorted *entries* cut into runs that fill a leaf to
+        *budget* bytes."""
+        run: List[Entry] = []
+        size = _EMPTY_LEAF
+        prev_key: Optional[bytes] = None
+        for key, value in entries:
+            if prev_key is not None and key <= prev_key:
+                raise TreeCorruptError(f"bulk_load input not strictly sorted at key {key!r}")
+            prev_key = key
+            self._check_entry_fits(key, value)
+            entry_size = len(key) + len(value) + 4
+            if run and size + entry_size > budget:
+                yield run
+                run, size = [], _EMPTY_LEAF
+            run.append((key, value))
+            size += entry_size
+        if run:
+            yield run
 
     def _build_internal_level(
         self, child_pids: List[int], child_first_keys: List[bytes]

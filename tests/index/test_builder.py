@@ -7,12 +7,14 @@ import pytest
 
 from repro.errors import IndexFormatError, IndexNotFoundError
 from repro.index.builder import (
+    FORMAT_VERSION,
     IndexBuildReport,
     build_index,
     load_manifest,
     make_codec,
 )
 from repro.index.inverted import DiskKeywordIndex
+from repro.index.updates import IndexUpdater
 from repro.xmltree.codec import PackedDeweyCodec, VarintDeweyCodec
 from repro.xmltree.level_table import LevelTable
 
@@ -92,7 +94,7 @@ class TestManifest:
     def test_load_manifest(self, tmp_path, school):
         build_index(school, tmp_path / "idx")
         manifest = load_manifest(tmp_path / "idx")
-        assert manifest["version"] == 1
+        assert manifest["version"] == FORMAT_VERSION == 2
         assert manifest["codec"] == "packed"
 
     def test_missing_manifest(self, tmp_path):
@@ -107,6 +109,26 @@ class TestManifest:
         path.write_text(json.dumps(manifest))
         with pytest.raises(IndexFormatError, match="version"):
             load_manifest(tmp_path / "idx")
+
+    def test_old_page_format_refused_with_rebuild_advice(self, tmp_path, school, capsys):
+        from repro.xksearch.cli import main
+
+        target = tmp_path / "idx"
+        build_index(school, target)
+        path = target / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = 1  # B+tree leaves before the slotted format
+        path.write_text(json.dumps(manifest))
+        advice = r"predates the current page format \(version 2\); rebuild .*`xksearch build`"
+        with pytest.raises(IndexFormatError, match=advice):
+            load_manifest(target)
+        # Readers and the updater stop at the same check, before any page.
+        with pytest.raises(IndexFormatError, match=advice):
+            DiskKeywordIndex(target)
+        with pytest.raises(IndexFormatError, match=advice):
+            IndexUpdater(target)
+        assert main(["serve", str(target), "--port", "0"]) == 1
+        assert "predates the current page format" in capsys.readouterr().err
 
 
 class TestScanBlocks:

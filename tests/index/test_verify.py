@@ -6,8 +6,8 @@ import pytest
 
 from repro.index.builder import build_index
 from repro.index.updates import IndexUpdater
-from repro.index.verify import verify_index
-from repro.storage.bptree import BPlusTree
+from repro.index.verify import fsck_index, verify_index
+from repro.storage.bptree import _LEAF_HEADER, BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 
@@ -91,6 +91,25 @@ class TestDetection:
                 fh.write(b"\x77")
         report = verify_index(built)
         assert not report.ok
+
+    @pytest.mark.parametrize("slot", ["first", "last"])
+    def test_leaf_offset_past_page_end_reported_not_raised(self, built, slot):
+        # One IL leaf's directory points a record end past the page: the
+        # last one is caught when the leaf loads, an inner one by the
+        # directory check.  Written through the pager, so checksums agree.
+        with Pager(built / "index.db") as pager:
+            pool = BufferPool(pager, capacity=256)
+            il = BPlusTree(pool, "il")
+            pid = il.leaf_page_ids()[0]
+            leaf = il._read_node(pid)
+            at = _LEAF_HEADER + 2 * (1 if slot == "first" else len(leaf))
+            page = bytearray(leaf.page)
+            page[at:at + 2] = b"\xff\xff"
+            pool.put_page(pid, bytes(page))
+        report = fsck_index(built)
+        assert not report.ok
+        expected = "overrun their page" if slot == "last" else f"page {pid}: record offsets"
+        assert any(expected in error for error in report.errors), report.summary()
 
     def test_error_cap(self, built):
         path = built / "frequency.json"

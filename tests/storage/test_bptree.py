@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TreeCorruptError
+from repro.errors import PageError, TreeCorruptError
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
@@ -50,6 +50,17 @@ class TestInsertSearch:
     def test_oversized_entry_rejected(self, tree):
         with pytest.raises(TreeCorruptError, match="cannot fit"):
             tree.insert(b"k", b"x" * 300)
+
+    def test_64k_pages_hold_u16_offsets_larger_ones_are_refused(self, tmp_path):
+        with Pager(tmp_path / "64k.db", page_size=1 << 16, create=True) as pager:
+            t = BPlusTree(BufferPool(pager, capacity=8), "t")
+            for i in range(5):  # four fill the root leaf; the fifth splits it
+                t.insert(b"%d" % i, bytes([i]) * 16000)
+            assert t.height == 2 and t.check_invariants() == []
+            assert [t.search(b"%d" % i) for i in range(5)] == [bytes([i]) * 16000 for i in range(5)]
+        with Pager(tmp_path / "128k.db", page_size=1 << 17, create=True) as pager:
+            with pytest.raises(PageError, match="u16 offsets"):
+                BPlusTree(BufferPool(pager), "t")
 
     def test_random_insertion_order(self, tree):
         keys = [b"%04d" % i for i in range(300)]
@@ -114,8 +125,7 @@ class TestFloorCeiling:
         # Force multiple leaves, then probe just below each leaf's first key.
         fill(tree, 300)
         for pid in tree.leaf_page_ids()[1:]:
-            leaf = tree._read_node(pid)
-            first = leaf.keys[0]
+            first = tree._read_node(pid)[0]
             probe = first[:-1] + bytes([first[-1] - 1]) + b"\xff"
             result = tree.floor_entry(probe)
             assert result is not None
@@ -251,6 +261,13 @@ class TestBulkLoad:
         pids = tree.leaf_page_ids()
         assert pids == list(range(pids[0], pids[0] + len(pids)))
 
+    def test_bulk_load_writes_each_page_once(self, tree):
+        writes = tree.pool.pager.stats.writes
+        tree.bulk_load((b"%05d" % i, b"v" * 8) for i in range(2000))
+        pages = len(tree.leaf_page_ids()) + len(tree.internal_page_ids())
+        # ... plus one header write for the new root pointer.
+        assert tree.pool.pager.stats.writes - writes == pages + 1
+
     def test_insert_after_bulk_load(self, tree):
         tree.bulk_load((b"%05d" % i, b"v") for i in range(100))
         tree.insert(b"00050x", b"new")
@@ -319,11 +336,15 @@ class TestInvariantChecker:
 
     def test_detects_injected_disorder(self, tree):
         fill(tree, 300)
-        # Corrupt one leaf in place: swap two keys.
+        # Corrupt one leaf's page image: swap its first two records, which
+        # are the same length, so the directory still describes the page.
         pid = tree.leaf_page_ids()[1]
         leaf = tree._read_node(pid)
-        leaf.keys[0], leaf.keys[1] = leaf.keys[1], leaf.keys[0]
-        tree._write_node(pid, leaf)
+        start, middle, stop = (leaf.base + end for end in leaf.ends[:3])
+        assert middle - start == stop - middle
+        page = bytearray(leaf.page)
+        page[start:stop] = page[middle:stop] + page[start:middle]
+        tree.pool.put_page(pid, bytes(page))
         problems = tree.check_invariants()
         assert problems
         assert any("out of order" in p or "bound" in p for p in problems)

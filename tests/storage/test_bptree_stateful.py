@@ -15,7 +15,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.storage.bptree import BPlusTree
+from repro.storage.bptree import BPlusTree, _LeafNode
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 
@@ -93,6 +93,15 @@ class BPlusTreeMachine(RuleBasedStateMachine):
     @invariant()
     def inner_pages_match_full_walk(self):
         assert sorted(self.tree.internal_page_ids()) == inner_pages_by_full_walk(self.tree)
+
+    @invariant()
+    def leaf_pages_are_canonical(self):
+        # Spliced in place or packed by a split, cached or re-read from
+        # disk (zero-padded), a leaf page is exactly a fresh pack of it.
+        for pid in self.tree.leaf_page_ids():
+            leaf = self.tree._read_node(pid)
+            packed = _LeafNode.pack(leaf.entries(), leaf.next_leaf).page
+            assert leaf.page == packed.ljust(len(leaf.page), b"\x00")
 
 
 def test_internal_page_ids_at_every_height(tmp_path):
