@@ -23,13 +23,11 @@ search API, then asserts that:
   2-process pool mapping the same segment file), the segment metrics
   appear on ``/metrics``, and a mid-run :class:`IndexUpdater` bump
   invalidates segment readers in every worker before the rebuilt
-  segments take over;
-* a 2-process pooled server is *fleet-exact*: ``xks_queries_total`` on
-  ``/metrics`` grows by exactly the number of served queries (worker
-  deltas replayed into the parent registry), every exported trace for a
-  pooled query carries a worker-attributed span subtree, the
-  :class:`FleetCollector` rollup reports both workers up, and
-  ``/debug/pprof`` serves live folded stacks (skipped without ``fork``).
+  segments take over.
+
+The exact pooled ``xks_queries_total`` count and the worker spans under
+a pooled request's trace are covered by ``tests/xksearch/test_server.py``
+(``TestCrossProcessTelemetry``).
 
 Run::
 
@@ -201,7 +199,6 @@ def check_parallel_smoke(index_dir: str) -> None:
     import multiprocessing
 
     from repro.xksearch.parallel import WorkerPool
-    from repro.xksearch.shared_cache import SharedResultCache
 
     if "fork" not in multiprocessing.get_all_start_methods():
         print("parallel smoke SKIPPED: no fork start method")
@@ -234,11 +231,10 @@ def check_parallel_smoke(index_dir: str) -> None:
             system, lambda base: {q: fetch_ids(base, q) for q in queries}
         )
 
-    # Pool and shared cache fork BEFORE the server thread starts.  The
-    # parent engine runs cache-less so every request — including the
-    # post-crash ones — actually reaches the pool dispatch path.
-    shared = SharedResultCache()
-    pool = WorkerPool(index_dir, workers=2, shared_cache=shared, max_respawns=0)
+    # The pool forks BEFORE the server thread starts.  The parent engine
+    # runs cache-less so every request — including the post-crash ones —
+    # actually reaches the pool dispatch path.
+    pool = WorkerPool(index_dir, workers=2, max_respawns=0)
     try:
         with XKSearch.open(index_dir) as system:
             system.engine.attach_pool(pool)
@@ -263,7 +259,6 @@ def check_parallel_smoke(index_dir: str) -> None:
             )
     finally:
         pool.close()
-        shared.close()
 
     assert answers == reference, f"pooled {answers} != in-thread {reference}"
     assert after_crash == reference, (
@@ -403,121 +398,6 @@ def check_segments(index_dir: str) -> None:
     )
 
 
-def check_fleet_obs(index_dir: str) -> None:
-    """Fleet-exact observability over a 2-process pool: /metrics counts
-    every served query exactly, exported traces carry worker spans, the
-    fleet rollup sees both workers, and /debug/pprof serves stacks."""
-    import multiprocessing
-    import time
-
-    from repro.obs.fleet import FleetCollector
-    from repro.obs.profiling import SamplingProfiler
-    from repro.xksearch.parallel import WorkerPool
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        print("fleet obs SKIPPED: no fork start method")
-        return
-
-    queries = ("John+Ben", "class+john", "ben+sue", "databases+search")
-    trace_path = os.path.join(index_dir, "..", "fleet_traces.jsonl")
-    exporter = TraceExporter(JsonlFileSink(trace_path), flush_interval=0.05)
-
-    def queries_total(body):
-        total = 0.0
-        for line in body.splitlines():
-            if line.startswith("xks_queries_total"):
-                total += float(line.split(" # ")[0].rsplit(" ", 1)[1])
-        return total
-
-    # Pool forks before the server thread starts; the parent engine runs
-    # cache-less so every request reaches the pool dispatch path.
-    pool = WorkerPool(index_dir, workers=2)
-    fleet = FleetCollector(pool, heartbeat_s=60.0)  # polled manually below
-    profiler = SamplingProfiler(hz=100.0).start()
-    served_ids = []
-    try:
-        with XKSearch.open(index_dir) as system:
-            system.engine.attach_pool(pool)
-            server = make_server(
-                system,
-                port=0,
-                metrics=ServerMetrics(),
-                tracer=Tracer(sample_rate=1.0),
-                exporter=exporter,
-                fleet=fleet,
-                profiler=profiler,
-            )
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            host, port = server.server_address
-            base = f"http://{host}:{port}"
-            try:
-                with urllib.request.urlopen(f"{base}/metrics", timeout=10) as resp:
-                    before = queries_total(resp.read().decode("utf-8"))
-                for i, query in enumerate(queries):
-                    request = urllib.request.Request(
-                        f"{base}/api/search?q={query}",
-                        headers={"X-Trace-Id": f"fee1dead{i:08x}"},
-                    )
-                    with urllib.request.urlopen(request, timeout=10) as resp:
-                        json.loads(resp.read())
-                        served_ids.append(resp.headers["X-Trace-Id"])
-                assert fleet.poll() == 2, "not every worker answered the heartbeat"
-                with urllib.request.urlopen(f"{base}/metrics", timeout=10) as resp:
-                    metrics_body = resp.read().decode("utf-8")
-                # The continuous profiler needs a few ticks to land stacks.
-                deadline = time.monotonic() + 10.0
-                pprof = {}
-                while time.monotonic() < deadline:
-                    with urllib.request.urlopen(
-                        f"{base}/debug/pprof", timeout=10
-                    ) as resp:
-                        pprof = json.loads(resp.read())
-                    if pprof.get("stacks"):
-                        break
-                    time.sleep(0.05)
-                with urllib.request.urlopen(f"{base}/debug/heap", timeout=10) as resp:
-                    heap = json.loads(resp.read())
-            finally:
-                server.shutdown()
-                server.server_close()  # closes exporter, fleet and profiler
-                thread.join(timeout=5)
-    finally:
-        pool.close()
-
-    # Fleet-exact counting: the parent registry grew by exactly the
-    # number of served queries — worker-side executions included.
-    after = queries_total(metrics_body)
-    assert after - before == len(queries), (
-        f"xks_queries_total grew by {after - before}, served {len(queries)}"
-    )
-    for worker in ("0", "1"):
-        assert f'xks_worker_up{{worker="{worker}"}} 1' in metrics_body, (
-            f"fleet rollup does not report worker {worker} up"
-        )
-    # Every pooled trace carries a worker-attributed span subtree.
-    with open(trace_path, encoding="utf-8") as fh:
-        exported = {r["trace_id"]: r for r in map(json.loads, fh)}
-    assert sorted(exported) == sorted(served_ids), (
-        f"exported {sorted(exported)} != served {sorted(served_ids)}"
-    )
-    for trace_id in served_ids:
-        record = exported[trace_id]
-        assert record["attrs"].get("pooled") is True, trace_id
-        workers = [c for c in record["children"] if c["name"] == "worker"]
-        assert workers, f"trace {trace_id} has no worker span"
-        assert all(span["attrs"]["pid"] > 0 for span in workers)
-    assert pprof.get("enabled") and pprof.get("stacks"), (
-        f"/debug/pprof returned no stacks: {pprof.get('totals')}"
-    )
-    assert heap["parent"]["tracing"] is False, "heap tracking should be off"
-    print(
-        f"fleet obs OK: {len(queries)} pooled queries counted exactly on "
-        f"/metrics, {len(served_ids)} traces with worker spans, 2 workers "
-        f"up, {pprof['totals']['samples']} profiler samples"
-    )
-
-
 def check_cli_explain(index_dir: str) -> None:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -550,7 +430,6 @@ def main(argv=None) -> int:
         check_export_pipeline(index_dir, trace_out=args.trace_out)
         check_cli_explain(index_dir)
         check_parallel_smoke(index_dir)
-        check_fleet_obs(index_dir)
         # Last: this phase mutates the index (mid-run update).
         check_segments(index_dir)
     print("observability smoke test passed")

@@ -28,6 +28,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.errors import IndexFormatError
 from repro.index.frequency import FrequencyTable
+from repro.index.generation import seed_generation
+from repro.index.segments import segments_path, write_index_segments
 from repro.obs.logging import get_logger
 from repro.storage.bptree import BPlusTree
 from repro.storage.buffer_pool import BufferPool
@@ -197,14 +199,8 @@ def build_index(
         "has_document": document_text is not None,
         "scan_keys": SCAN_KEYS,
     }
-    # Imported lazily — repro.xksearch imports this module at package
-    # init, so a top-level import would be circular.
-    from repro.index.segments import segments_path, write_index_segments
-
     layout = key_layout(codec, level_table) if segments else None
     if layout is not None:
-        from repro.xksearch.cache import seed_generation
-
         generation = seed_generation(index_dir, 0)
         manifest["generation"] = generation
         key_of = layout.key_of_encoding

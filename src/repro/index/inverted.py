@@ -30,7 +30,7 @@ serialized by the buffer pool's lock, and the remaining per-query state
 what the threaded demo server relies on).  Writes are not concurrent:
 :class:`~repro.index.updates.IndexUpdater` must run with no in-flight
 queries on the same directory; afterwards, open handles observe the bumped
-index *generation* (see :mod:`repro.xksearch.cache`) and transparently
+index *generation* (see :mod:`repro.index.generation`) and transparently
 reload their on-disk state.
 """
 
@@ -55,6 +55,7 @@ from repro.index.builder import (
     make_codec,
 )
 from repro.index.frequency import FrequencyTable
+from repro.index.generation import current_generation, seed_generation
 from repro.index.segments import (
     PackedListSource,
     SegmentReader,
@@ -160,10 +161,6 @@ class DiskKeywordIndex:
         use_segments: bool = True,
         verify_checksums: bool = False,
     ):
-        # Imported lazily: repro.xksearch imports this module at package
-        # init, so a top-level import here would be circular.
-        from repro.xksearch.cache import seed_generation
-
         self.index_dir = os.fspath(index_dir)
         self.manifest = load_manifest(self.index_dir)
         self.mmap_mode = mmap_mode
@@ -250,8 +247,6 @@ class DiskKeywordIndex:
         segments = self._segments
         if segments is None or segments.quarantined:
             return False
-        from repro.xksearch.cache import current_generation
-
         return segments.generation == current_generation(self.index_dir)
 
     def posting_tier(self) -> str:
@@ -280,13 +275,11 @@ class DiskKeywordIndex:
         """Current mutation generation of this index directory.
 
         Query caches stamp entries with this value (see
-        :mod:`repro.xksearch.cache`): an :class:`IndexUpdater` mutation
+        :mod:`repro.index.generation`): an :class:`IndexUpdater` mutation
         bumps it, instantly staling every cached result.  If the counter
         has advanced since this handle last looked, the handle reloads its
         on-disk state first so subsequent reads see the new contents.
         """
-        from repro.xksearch.cache import current_generation, seed_generation
-
         # An updater in this process bumps the registry directly; one in
         # *another* process only persists its bump to the manifest on
         # close.  One stat per query detects that cheaply.

@@ -16,7 +16,7 @@ whenever it is current:
   the OS page cache;
 * the header carries the index **generation** the segments were built
   from.  Readers use segments only while that matches the live
-  generation (:mod:`repro.xksearch.cache`); after an
+  generation (:mod:`repro.index.generation`); after an
   :class:`~repro.index.updates.IndexUpdater` bump they fall back to the
   B+trees transparently — results are byte-identical either way — until
   the updater's ``close()`` writes the next file (re-deriving the lists

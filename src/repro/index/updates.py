@@ -89,6 +89,7 @@ from repro.index.builder import (
     make_codec,
 )
 from repro.index.frequency import FrequencyTable
+from repro.index.generation import bump_generation, current_generation, seed_generation
 from repro.index.segments import SegmentReader, segments_path, write_index_segments
 from repro.obs.logging import get_logger
 from repro.storage.bptree import BPlusTree
@@ -101,7 +102,6 @@ from repro.storage.records import (
     keyword_range,
     pack_block,
 )
-from repro.xksearch.cache import bump_generation, current_generation, seed_generation
 from repro.xmltree.dewey import DeweyTuple
 from repro.xmltree.tree import Node, TEXT_TAG
 
@@ -346,7 +346,7 @@ class IndexUpdater:
     def _announce(self, event: str, count: int, changed: bool, keywords: int) -> None:
         """End a call: flush, then — if a stored value changed — bump the
         generation, which stales every cached query result (see
-        :mod:`repro.xksearch.cache`) and sends in-process readers to the
+        :mod:`repro.index.generation`) and sends in-process readers to the
         trees the flush just made current."""
         self._postings_delta += count
         self._pager.flush()

@@ -21,10 +21,7 @@ This package connects them:
   with load-adaptive token-bucket sampling (:func:`set_log_sampling`);
 * :mod:`repro.obs.profiling` — a thread-sampling continuous profiler
   (folded flamegraph stacks at ``GET /debug/pprof``) plus tracemalloc
-  heap snapshots (``GET /debug/heap``);
-* :mod:`repro.obs.fleet` — scrape-time aggregation over the process
-  pool's workers (``xks_worker_up{worker}`` and per-worker rollups),
-  fed by heartbeat telemetry snapshots over the task pipes.
+  heap snapshots (``GET /debug/heap``).
 
 SLOs are not evaluated in-process: ``docs/slo_rules.yml`` holds the
 Prometheus recording and burn-rate alert rules over the ``xks_*`` series
@@ -40,7 +37,6 @@ from repro.obs.export import (
     MemorySink,
     TraceExporter,
 )
-from repro.obs.fleet import FleetCollector
 from repro.obs.logging import (
     LogSampler,
     configure_logging,
@@ -69,7 +65,6 @@ from repro.obs.profiling import (
     SamplingProfiler,
     heap_snapshot,
     heap_tracking_active,
-    merge_folded,
     render_folded,
     start_heap_tracking,
     stop_heap_tracking,
@@ -86,7 +81,6 @@ from repro.obs.tracing import (
 __all__ = [
     "BackgroundExporter",
     "ExportSink",
-    "FleetCollector",
     "HttpCollectorSink",
     "JsonlFileSink",
     "MemorySink",
@@ -115,7 +109,6 @@ __all__ = [
     "SamplingProfiler",
     "heap_snapshot",
     "heap_tracking_active",
-    "merge_folded",
     "render_folded",
     "start_heap_tracking",
     "stop_heap_tracking",

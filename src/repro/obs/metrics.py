@@ -577,8 +577,7 @@ class MetricsRegistry:
     def collect(self) -> List[Sample]:
         """Every current sample — registered metrics plus collector output.
 
-        The flat-snapshot twin of :meth:`render`; a pool worker's
-        heartbeat ships these to the parent's fleet collector.
+        The flat-snapshot twin of :meth:`render`.
         """
         with self._lock:
             metrics = list(self._metrics.items())

@@ -1,8 +1,8 @@
 """Continuous profiling: thread-sampling CPU profiles + tracemalloc heaps.
 
 Two complementary always-on-capable profilers, both cheap enough to run
-in production and both per-process (the pool workers run their own and
-ship results over the task pipe for fleet aggregation):
+in production and both per-process (they see the serving process only,
+never the pool workers):
 
 * :class:`SamplingProfiler` — a daemon thread wakes ``hz`` times per
   second, walks ``sys._current_frames()`` and folds each thread's stack
@@ -16,9 +16,6 @@ ship results over the task pipe for fleet aggregation):
   explicit :func:`start_heap_tracking` / :func:`stop_heap_tracking` —
   tracking is off by default because tracemalloc taxes every allocation;
   ``GET /debug/heap`` toggles and reads it.
-
-:func:`merge_folded` sums folded-stack dicts across processes — the
-fleet view is literally the sum of the per-process flamegraphs.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, get_registry, instrumentation_enabled
 
@@ -53,17 +50,6 @@ def _fold_stack(frame, max_depth: int) -> str:
         depth += 1
     parts.reverse()
     return ";".join(parts) if parts else "(empty)"
-
-
-def merge_folded(profiles: Iterable[Dict[str, int]]) -> Dict[str, int]:
-    """Sum folded-stack count dicts (per-process profiles → fleet profile)."""
-    merged: Dict[str, int] = {}
-    for profile in profiles:
-        if not profile:
-            continue
-        for stack, count in profile.items():
-            merged[stack] = merged.get(stack, 0) + int(count)
-    return merged
 
 
 def render_folded(counts: Dict[str, int]) -> str:

@@ -12,7 +12,6 @@ from repro.xksearch.engine import QueryAtom, parse_query
 from repro.xksearch.parallel import WorkerPool
 from repro.xksearch.ranking import RankedResult, rank_results
 from repro.xksearch.results import SearchResult, decorate_result
-from repro.xksearch.shared_cache import SharedResultCache
 from repro.xksearch.system import XKSearch
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "QueryPlan",
     "RankedResult",
     "SearchResult",
-    "SharedResultCache",
     "WorkerPool",
     "XKSearch",
     "XMLCollection",

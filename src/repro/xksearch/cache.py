@@ -10,12 +10,10 @@ memory.  This module provides that layer:
   eviction accounting (:class:`CacheStats`);
 * :class:`QueryCache` — a result cache plus a plan cache for
   :class:`~repro.xksearch.engine.QueryEngine`.  Entries are stamped with
-  the index *generation* current when they were computed, so a cache can
-  be shared across engine instances and survives nothing it shouldn't;
-* the **generation registry** — a process-wide counter per index
-  directory.  :class:`~repro.index.updates.IndexUpdater` bumps it on every
-  mutation (and persists it in the manifest), which atomically stales
-  every cached result computed against the older index contents.
+  the index *generation* current when they were computed
+  (:mod:`repro.index.generation`), so a cache can be shared across engine
+  instances and an :class:`~repro.index.updates.IndexUpdater` mutation
+  atomically stales every result computed against the older contents.
 
 Keys are order-insensitive: ``"john ben"`` and ``"ben john"`` share one
 entry, because SLCA semantics (and the engine's frequency-based planning)
@@ -24,7 +22,6 @@ do not depend on the order keywords were typed in.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -156,49 +153,6 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._map)
-
-
-# -- generation registry ------------------------------------------------------
-#
-# One monotonically increasing counter per index directory, shared by every
-# reader and writer in the process.  Writers bump it on mutation; cached
-# entries remember the generation they were computed under and are treated
-# as misses (and dropped) once the counters diverge.  The counter is also
-# persisted in the index manifest so that a new process starts from the
-# latest value rather than from zero.
-
-_generation_lock = threading.Lock()
-_generations: dict = {}
-
-
-def _generation_key(index_dir) -> str:
-    return os.path.realpath(os.fspath(index_dir))
-
-
-def current_generation(index_dir) -> int:
-    """The index directory's current generation (0 if never seen)."""
-    with _generation_lock:
-        return _generations.get(_generation_key(index_dir), 0)
-
-
-def bump_generation(index_dir) -> int:
-    """Record one mutation of the index directory; returns the new value."""
-    key = _generation_key(index_dir)
-    with _generation_lock:
-        _generations[key] = _generations.get(key, 0) + 1
-        return _generations[key]
-
-
-def seed_generation(index_dir, generation: int) -> int:
-    """Merge a persisted generation (from the manifest) into the registry.
-
-    Max-merge, so an already-bumped in-process counter never goes
-    backwards; returns the effective value.
-    """
-    key = _generation_key(index_dir)
-    with _generation_lock:
-        _generations[key] = max(_generations.get(key, 0), int(generation))
-        return _generations[key]
 
 
 # -- query-level caches -------------------------------------------------------

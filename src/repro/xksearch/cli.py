@@ -347,8 +347,8 @@ def make_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="HZ",
-        help="sample thread stacks HZ times per second in the parent and "
-        "every pool worker; folded flamegraph stacks at GET /debug/pprof "
+        help="sample thread stacks HZ times per second in the parent "
+        "process; folded flamegraph stacks at GET /debug/pprof "
         "(0 = off)",
     )
     p_serve.add_argument(

@@ -35,7 +35,6 @@ from repro.obs.profile import QueryProfile, maybe_phase
 from repro.robustness.breaker import CircuitBreaker
 from repro.robustness.deadline import current_deadline
 from repro.xksearch.cache import QueryCache, normalize_key
-from repro.xksearch.shared_cache import SharedResultCache
 from repro.xmltree.dewey import DeweyTuple
 from repro.xmltree.tree import extract_keywords
 
@@ -187,12 +186,6 @@ class ExecutionStats:
     cache_misses: int = 0
     cache_evictions: int = 0
     result_from_cache: bool = False
-    #: Hits against the cross-process shared result cache, whether the
-    #: lookup happened in this process or inside a pool worker.
-    shared_hits: int = 0
-    #: Admission decision of this call's shared-cache store, if one
-    #: happened ("admit"/"evict"/"reject"/"oversize").
-    shared_admission: Optional[str] = None
     #: EXPLAIN breakdown, set by ``execute(..., profile=True)``.
     profile: Optional[QueryProfile] = None
     #: Worker-side span trees (plain dicts) returned by pooled executions —
@@ -221,20 +214,15 @@ class QueryEngine:
     Caching is opt-in: benchmarks measuring raw algorithm cost construct
     engines without one.
 
-    Two optional cross-process layers compose with the local cache:
-
-    * a :class:`~repro.xksearch.shared_cache.SharedResultCache` is
-      consulted after a local miss and fed after every execution, so a
-      result computed anywhere (this process or any pool worker) is a
-      hit everywhere, under the same generation stamps;
-    * a :class:`~repro.xksearch.parallel.WorkerPool` (attached via
-      :meth:`attach_pool`) moves cache-miss execution into worker
-      processes.  Answers are byte-identical to in-thread execution —
-      workers run the same planner over the same index — and any
-      dispatch failure falls back to executing in-thread (counted by
-      ``xks_pool_fallback_total``), never failing the request.  The
-      EXPLAIN path (``profile=True``) always runs in-thread so its
-      phase timings and I/O attribution describe *this* process.
+    A :class:`~repro.xksearch.parallel.WorkerPool` (attached via
+    :meth:`attach_pool`) moves cache-miss execution into worker
+    processes; every pooled answer is stored in the local cache like an
+    in-thread one.  Answers are byte-identical to in-thread execution —
+    workers run the same planner over the same index — and any dispatch
+    failure falls back to executing in-thread (counted by
+    ``xks_pool_fallback_total``), never failing the request.  The EXPLAIN
+    path (``profile=True``) always runs in-thread so its phase timings and
+    I/O attribution describe *this* process.
     """
 
     def __init__(
@@ -242,12 +230,10 @@ class QueryEngine:
         index: AnyIndex,
         skew_threshold: float = DEFAULT_SKEW_THRESHOLD,
         cache: Optional[QueryCache] = None,
-        shared_cache: Optional[SharedResultCache] = None,
     ):
         self.index = index
         self.skew_threshold = skew_threshold
         self.cache = cache
-        self.shared = shared_cache
         self.pool = None
         # Trips after consecutive dispatch failures so a dead pool costs
         # one up-front check per request instead of a discovery timeout;
@@ -295,8 +281,7 @@ class QueryEngine:
     ) -> None:
         """Record one query against the engine totals and the registry.
 
-        ``cache_state`` is ``hit`` (local cache), ``shared`` (cross-process
-        cache, possibly observed inside a pool worker), ``miss`` or ``off``;
+        ``cache_state`` is ``hit``, ``miss`` or ``off`` (no cache);
         ``delta``, ``exec_ms`` and ``band`` (the plan's smallest-list
         frequency band) are only present when an actual execution happened.
         """
@@ -566,23 +551,22 @@ class QueryEngine:
             "pool_misses": after["pool"]["misses"] - before["pool"]["misses"],
         }
 
-    # -- cross-process layers ------------------------------------------------
+    # -- worker pool ---------------------------------------------------------
 
     def _pool_execute(self, semantics, plan, algorithm, generation, stats=None):
         """Try to run one planned query in a pool worker.
 
-        Returns ``(ids, delta, exec_ms, shared_hit)`` on success, or
-        ``None`` when the pool is absent, the plan is trivially empty, or
-        the dispatch failed — the caller then executes in-thread.  The
-        worker re-plans from the same atom displays and the *requested*
-        algorithm, so its planning (and its shared-cache key) matches this
-        process exactly.
+        Returns ``(ids, delta)`` on success, or ``None`` when the pool is
+        absent, the plan is trivially empty, or the dispatch failed — the
+        caller then executes in-thread.  The worker re-plans from the same
+        atom displays and the *requested* algorithm, so its planning
+        matches this process exactly.
 
         The task envelope carries this request's trace id
         (:func:`current_trace_id`), and the worker's reply carries its
         captured metric updates and span tree: the events are replayed
         into this process's registry here (so ``/metrics`` stays
-        fleet-accurate — the worker already counted the query, the ops
+        exact — the worker already counted the query, the ops
         and the latency, exemplar trace id included), and the spans land
         on ``stats.worker_spans`` for the serving layer to graft.  The
         caller must therefore NOT call :meth:`_note_query` for a pooled
@@ -620,7 +604,7 @@ class QueryEngine:
         self._replay_worker_events(task)
         if stats is not None and task.spans is not None:
             stats.worker_spans.append(task.spans)
-        return tuple(task.ids), delta, task.exec_ms, bool(task.shared_hit)
+        return tuple(task.ids), delta
 
     def _replay_worker_events(self, task) -> None:
         """Replay one worker's captured metric updates into this registry.
@@ -628,7 +612,7 @@ class QueryEngine:
         The worker counted everything in its own (private) registry —
         ``xks_queries_total``, ``xks_algo_ops_total``, the
         ``xks_query_exec_ms`` observation with the request's exemplar
-        trace id, shared-cache admissions, segment/pager counters.  The
+        trace id, segment/pager counters.  The
         only label that lies from the parent's perspective is
         ``xks_queries_total{cache=...}``: the worker has no local result
         cache, so it says ``off`` where this process experienced a local
@@ -685,24 +669,6 @@ class QueryEngine:
                 labelnames=("reason",),
             ).labels(reason=reason).inc()
 
-    def _shared_lookup(self, key, generation, semantics, algorithm, stats):
-        """Consult the shared cache; on a hit, stamp stats, warm the local
-        cache, and return the ids tuple (``None`` on a miss)."""
-        hit, entry = self.shared.lookup(key, generation)
-        if not hit:
-            return None
-        ids, counters_dict = entry
-        ids = tuple(ids)
-        delta = OpCounters(**counters_dict) if counters_dict else None
-        stats.shared_hits += 1
-        stats.result_from_cache = True
-        if delta is not None:
-            stats.counters.add(delta)
-        if self.cache is not None:
-            self.cache.store_result(key, generation, (ids, delta))
-        self._note_query(semantics, "shared", algorithm, None, None)
-        return ids
-
     def _execute_cached(
         self,
         atoms: List[QueryAtom],
@@ -719,16 +685,13 @@ class QueryEngine:
         cache hit can stamp :class:`ExecutionStats` with the original cost
         instead of returning indistinguishable zeroes.
 
-        Lookup order is local cache → shared cache → execute, and the
-        execution goes to the worker pool when one is attached (falling
-        back in-thread on any :class:`~repro.errors.PoolError`).  Profiled
-        (EXPLAIN) calls bypass the shared cache and the pool entirely so
-        the profile describes an execution in this process.
+        A cache miss executes in the worker pool when one is attached
+        (falling back in-thread on any :class:`~repro.errors.PoolError`).
+        Profiled (EXPLAIN) calls bypass the pool so the profile describes
+        an execution in this process.
         """
-        # The cross-process layers are bypassed under EXPLAIN (see above).
-        shared = self.shared if prof is None else None
         pooled_ok = prof is None and self.pool is not None
-        if self.cache is None and shared is None:
+        if self.cache is None:
             with maybe_phase(prof, "plan") as phase:
                 plan = self._plan_atoms(atoms, algorithm)
             if prof is None:
@@ -740,13 +703,9 @@ class QueryEngine:
                         # The worker already counted this query (event
                         # replay in _pool_execute) — only the engine-local
                         # totals need merging here.
-                        ids, delta, exec_ms, shared_hit = pooled
+                        ids, delta = pooled
                         stats.counters.add(delta)
-                        if shared_hit:
-                            stats.shared_hits += 1
-                            stats.result_from_cache = True
-                        else:
-                            self._merge_totals(plan.algorithm, delta)
+                        self._merge_totals(plan.algorithm, delta)
                         return iter(ids)
                 return self._accounted(
                     self._retryable(plan, stats, runner), stats, semantics,
@@ -759,31 +718,26 @@ class QueryEngine:
             return self._run_profiled(plan, semantics, "off", stats, runner, prof)
         key = normalize_key((a.display for a in atoms), algorithm, semantics)
         generation = self.generation()
-        if self.cache is not None:
-            with maybe_phase(prof, "cache_lookup"):
-                hit, entry = self.cache.lookup_result(key, generation)
-            if hit:
-                ids, cached_counters = entry
-                stats.cache_hits += 1
-                stats.result_from_cache = True
-                if cached_counters is not None:
-                    stats.counters.add(cached_counters)
-                self._note_query(semantics, "hit", algorithm, None, None)
-                if prof is not None:
-                    prof.cache_hit = True
-                    prof.result_count = len(ids)
-                    # Plans are cheap; re-derive one so EXPLAIN on a hit still
-                    # shows what an execution would have run.
-                    with maybe_phase(prof, "plan"):
-                        plan = self._plan_atoms(atoms, algorithm)
-                    prof.algorithm = plan.algorithm
-                    prof.plan = self._plan_summary(plan)
-                return iter(ids)
-            stats.cache_misses += 1
-        if shared is not None:
-            ids = self._shared_lookup(key, generation, semantics, algorithm, stats)
-            if ids is not None:
-                return iter(ids)
+        with maybe_phase(prof, "cache_lookup"):
+            hit, entry = self.cache.lookup_result(key, generation)
+        if hit:
+            ids, cached_counters = entry
+            stats.cache_hits += 1
+            stats.result_from_cache = True
+            if cached_counters is not None:
+                stats.counters.add(cached_counters)
+            self._note_query(semantics, "hit", algorithm, None, None)
+            if prof is not None:
+                prof.cache_hit = True
+                prof.result_count = len(ids)
+                # Plans are cheap; re-derive one so EXPLAIN on a hit still
+                # shows what an execution would have run.
+                with maybe_phase(prof, "plan"):
+                    plan = self._plan_atoms(atoms, algorithm)
+                prof.algorithm = plan.algorithm
+                prof.plan = self._plan_summary(plan)
+            return iter(ids)
+        stats.cache_misses += 1
         with maybe_phase(prof, "plan") as phase:
             plan = self._plan_atoms(atoms, algorithm)
         if prof is not None:
@@ -799,13 +753,9 @@ class QueryEngine:
         if pooled is not None:
             # Pooled executions are fully counted worker-side and replayed
             # (_pool_execute); only the engine-local totals merge here.
-            value, delta, exec_ms, shared_hit = pooled
+            value, delta = pooled
             stats.counters.add(delta)
-            if shared_hit:
-                stats.shared_hits += 1
-                stats.result_from_cache = True
-            else:
-                self._merge_totals(plan.algorithm, delta)
+            self._merge_totals(plan.algorithm, delta)
         else:
             before = stats.counters.snapshot()
             exec_started = time.perf_counter()
@@ -813,26 +763,15 @@ class QueryEngine:
                 value = self._run_with_retry(plan, stats, runner)
             exec_ms = (time.perf_counter() - exec_started) * 1000
             delta = stats.counters.delta(before)
-            shared_hit = False
-            if shared is not None:
-                stats.shared_admission = shared.store(
-                    key, generation, (value, delta.as_dict()), exec_ms
-                )
             self._note_query(
-                semantics,
-                "miss" if self.cache is not None else "off",
-                plan.algorithm,
-                delta,
-                exec_ms,
-                band=plan.band,
+                semantics, "miss", plan.algorithm, delta, exec_ms, band=plan.band
             )
-        if self.cache is not None:
-            with maybe_phase(prof, "cache_store"):
-                evictions_before = self.cache.results.stats.evictions
-                self.cache.store_result(key, generation, (value, delta))
-                stats.cache_evictions += (
-                    self.cache.results.stats.evictions - evictions_before
-                )
+        with maybe_phase(prof, "cache_store"):
+            evictions_before = self.cache.results.stats.evictions
+            self.cache.store_result(key, generation, (value, delta))
+            stats.cache_evictions += (
+                self.cache.results.stats.evictions - evictions_before
+            )
         if prof is not None:
             prof.result_count = len(value)
         return iter(value)
@@ -889,9 +828,7 @@ class QueryEngine:
                 f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
             )
         stats = stats if stats is not None else ExecutionStats()
-        use_generation = (
-            self.cache is not None or self.shared is not None or self.pool is not None
-        )
+        use_generation = self.cache is not None or self.pool is not None
         generation = self.generation() if use_generation else 0
         parsed = [parse_query(query) for query in queries]
         keys = [
@@ -916,11 +853,6 @@ class QueryEngine:
                     resolved[key] = ids
                     continue
                 stats.cache_misses += 1
-            if self.shared is not None:
-                ids = self._shared_lookup(key, generation, "slca", algorithm, stats)
-                if ids is not None:
-                    resolved[key] = ids
-                    continue
             pending.append(key)
             pending_plans[key] = self._plan_atoms(atoms, algorithm)
 
@@ -937,15 +869,12 @@ class QueryEngine:
             if pooled is not None:
                 # Counted worker-side and replayed; flag so the merge loop
                 # below does not note it a second time.
-                return key, pooled + (True,)
+                return key, pooled + (None, True)
             local = ExecutionStats()
             exec_started = time.perf_counter()
             value = self._run_with_retry(plan, local, self.execute_plan)
             exec_ms = (time.perf_counter() - exec_started) * 1000
-            delta = local.counters
-            if self.shared is not None:
-                self.shared.store(key, generation, (value, delta.as_dict()), exec_ms)
-            return key, (value, delta, exec_ms, False, False)
+            return key, (value, local.counters, exec_ms, False)
 
         if self.pool is not None and len(pending) > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -956,14 +885,10 @@ class QueryEngine:
                 outcomes = list(dispatchers.map(run_one, pending))
         else:
             outcomes = [run_one(key) for key in pending]
-        for key, (value, delta, exec_ms, shared_hit, was_pooled) in outcomes:
+        for key, (value, delta, exec_ms, was_pooled) in outcomes:
             plan = pending_plans[key]
             stats.counters.add(delta)
-            if shared_hit:
-                stats.shared_hits += 1
-                if not was_pooled:
-                    self._note_query("slca", "shared", algorithm, None, None)
-            elif was_pooled:
+            if was_pooled:
                 self._merge_totals(plan.algorithm, delta)
             else:
                 self._note_query(

@@ -10,9 +10,9 @@ execution into a pool of **forked worker processes**:
   so all workers read the same OS page-cache copy of the posting lists —
   no per-worker buffer pool, no pickled posting lists crossing the pipe;
   only the query tokens go down and the (small) answer comes back;
-* workers share the parent's :class:`~repro.xksearch.shared_cache.SharedResultCache`
-  (forked after it is created), so a result computed by any process is a
-  hit in every other one, under the same generation stamps;
+* workers keep no result cache: the parent's
+  :class:`~repro.xksearch.cache.QueryCache` is consulted before any
+  dispatch and stores every pooled answer;
 * generation-based invalidation stays intact: every task carries the
   parent's current generation, the worker max-merges it into its own
   registry, and its :meth:`DiskKeywordIndex.generation` check reloads the
@@ -27,16 +27,12 @@ execution into a pool of **forked worker processes**:
   query inside a ``worker`` span tree, captures every metric update it
   makes (:func:`repro.obs.metrics.start_capture`), and ships
   ``(events, spans)`` back in the reply (:class:`TaskResult`) for the
-  parent to replay/graft — ``/metrics`` and traces stay fleet-accurate;
-* :meth:`WorkerPool.collect_snapshots` additionally pulls a full registry
-  snapshot (plus profiler state) from each idle worker over the same
-  pipe — the heartbeat behind the scrape-time
-  :class:`~repro.obs.fleet.FleetCollector`.
+  parent to replay/graft — ``/metrics`` and traces stay exact.
 
-Fork discipline: create the pool (and the shared cache) **before**
-starting server threads.  ``fork()`` from a multi-threaded parent can
-clone held locks into the child; at startup the parent is single-threaded
-and the workers inherit a quiescent world.  Platforms without the
+Fork discipline: create the pool **before** starting server threads.
+``fork()`` from a multi-threaded parent can clone held locks into the
+child; at startup the parent is single-threaded and the workers inherit
+a quiescent world.  Platforms without the
 ``fork`` start method get :class:`~repro.errors.PoolUnavailableError`
 at construction, which callers treat as "serve in-thread".
 """
@@ -49,9 +45,10 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import DeadlineExceeded, PoolError, PoolUnavailableError
+from repro.index.generation import seed_generation
 from repro.obs.logging import get_logger, reset_current_trace_id, set_current_trace_id
 from repro.obs.metrics import (
     get_registry,
@@ -59,7 +56,6 @@ from repro.obs.metrics import (
     start_capture,
     stop_capture,
 )
-from repro.obs.profiling import SamplingProfiler, heap_snapshot
 from repro.obs.tracing import Span
 
 #: Semantics a worker knows how to execute (engine entry point per value).
@@ -85,34 +81,9 @@ class TaskResult:
     ids: tuple
     counters: dict
     exec_ms: float
-    shared_hit: bool
-    admission: Optional[str]
     events: List[tuple] = field(default_factory=list)
     spans: Optional[dict] = None
     worker: int = -1
-
-
-def _worker_snapshot(worker_id, profiler) -> dict:
-    """One worker's live telemetry state (heartbeat payload)."""
-    samples = []
-    try:
-        for sample in get_registry().collect():
-            samples.append((sample.name, dict(sample.labels), float(sample.value)))
-    except Exception:  # never let a scrape kill the worker loop
-        pass
-    payload = {
-        "worker": worker_id,
-        "pid": os.getpid(),
-        "ts": time.time(),
-        "samples": samples,
-        "profile": profiler.snapshot() if profiler is not None else {},
-        "profile_totals": profiler.totals() if profiler is not None else {},
-    }
-    try:
-        payload["heap"] = heap_snapshot(top=10)
-    except Exception:
-        payload["heap"] = {"tracing": False, "top": []}
-    return payload
 
 
 def _worker_main(
@@ -120,18 +91,14 @@ def _worker_main(
     index_dir,
     conn,
     skew_threshold,
-    shared_cache,
     use_segments=True,
-    profile_hz=0.0,
     verify_checksums=False,
 ):
     """Worker process body: open the index in mmap mode, serve tasks.
 
     Runs in the forked child.  The index handle is private to this
     process (its own fd, its own mapping of the shared page cache — and,
-    with segments, its own mapping of the shared segment file); the
-    ``shared_cache`` segment and its lock are the parent's, inherited
-    through fork.
+    with segments, its own mapping of the shared segment file).
     """
     # Imported here so the symbols resolve in the child without making
     # this module depend on the engine at import time (the engine is what
@@ -139,7 +106,6 @@ def _worker_main(
     from repro.index.inverted import DiskKeywordIndex
     from repro.robustness import faultinject
     from repro.robustness.deadline import Deadline, bind_deadline
-    from repro.xksearch.cache import seed_generation
     from repro.xksearch.engine import ExecutionStats, QueryEngine
 
     try:
@@ -149,12 +115,7 @@ def _worker_main(
             use_segments=use_segments,
             verify_checksums=verify_checksums,
         )
-        engine = QueryEngine(
-            index, skew_threshold=skew_threshold, shared_cache=shared_cache
-        )
-        profiler = None
-        if profile_hz and profile_hz > 0:
-            profiler = SamplingProfiler(hz=profile_hz).start()
+        engine = QueryEngine(index, skew_threshold=skew_threshold)
         conn.send(("ready", os.getpid()))
     except Exception as exc:  # surfaced to the parent as a failed spawn
         try:
@@ -174,13 +135,6 @@ def _worker_main(
             break
         if message is None:
             break
-        if message[0] == "snapshot":
-            snap_id = message[1]
-            try:
-                conn.send((snap_id, "snap", _worker_snapshot(worker_id, profiler)))
-            except (OSError, BrokenPipeError):
-                break
-            continue
         (_, task_id, semantics, tokens, algorithm, generation,
          trace_id, want_spans, deadline_epoch) = message
         if faultinject.fire("kill-worker") is not None:
@@ -238,10 +192,7 @@ def _worker_main(
             if root_span is not None:
                 if exec_span is not None:
                     exec_span.finish()
-                    exec_span.annotate(
-                        shared_hit=bool(stats.result_from_cache),
-                        answers=len(ids),
-                    )
+                    exec_span.annotate(answers=len(ids))
                     root_span.children.append(exec_span)
                 root_span.finish()
                 spans = root_span.to_dict()
@@ -252,8 +203,6 @@ def _worker_main(
                     ids,
                     stats.counters.as_dict(),
                     exec_ms,
-                    stats.result_from_cache,
-                    stats.shared_admission,
                     events,
                     spans,
                 )
@@ -306,13 +255,11 @@ class WorkerPool:
         index_dir,
         workers: int = 2,
         skew_threshold: float = 10.0,
-        shared_cache=None,
         task_timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
         spawn_timeout_s: float = 30.0,
         max_respawns: Optional[int] = None,
         respawn_reset_s: float = 60.0,
         use_segments: bool = True,
-        profile_hz: float = 0.0,
         verify_checksums: bool = False,
     ):
         if workers < 1:
@@ -325,9 +272,7 @@ class WorkerPool:
         self.index_dir = os.fspath(index_dir)
         self.size = workers
         self.skew_threshold = skew_threshold
-        self.shared_cache = shared_cache
         self.use_segments = use_segments
-        self.profile_hz = float(profile_hz)
         self.verify_checksums = verify_checksums
         self.task_timeout_s = task_timeout_s
         self.spawn_timeout_s = spawn_timeout_s
@@ -368,9 +313,7 @@ class WorkerPool:
                 self.index_dir,
                 child_conn,
                 self.skew_threshold,
-                self.shared_cache,
                 self.use_segments,
-                self.profile_hz,
                 self.verify_checksums,
             ),
             daemon=True,
@@ -565,61 +508,15 @@ class WorkerPool:
             raise DeadlineExceeded(phase=reply[2])
         if reply[1] != "ok":
             raise PoolError(f"worker {handle.worker_id} error: {reply[2]}")
-        (_task_id, _status, ids, counters, exec_ms, shared_hit, admission,
-         events, spans) = reply
+        _task_id, _status, ids, counters, exec_ms, events, spans = reply
         return TaskResult(
             ids=ids,
             counters=counters,
             exec_ms=exec_ms,
-            shared_hit=shared_hit,
-            admission=admission,
             events=list(events or ()),
             spans=spans,
             worker=handle.worker_id,
         )
-
-    # -- heartbeat snapshots -------------------------------------------------
-
-    def collect_snapshots(self, timeout_s: float = 2.0) -> List[dict]:
-        """Pull one telemetry snapshot from every currently idle worker.
-
-        Busy workers are skipped (they answer the next heartbeat); a
-        worker that fails to answer is retired exactly like a failed
-        dispatch.  Returns the snapshot payloads
-        (see :func:`_worker_snapshot`).
-        """
-        if self._closed:
-            return []
-        held: List[_WorkerHandle] = []
-        while True:
-            try:
-                held.append(self._idle.get_nowait())
-            except queue.Empty:
-                break
-        snapshots: List[dict] = []
-        for handle in held:
-            if not handle.process.is_alive():
-                self._retire(handle, "dead_at_snapshot")
-                continue
-            with self._lock:
-                snap_id = self._next_task_id
-                self._next_task_id += 1
-            try:
-                handle.conn.send(("snapshot", snap_id))
-                if not handle.conn.poll(timeout_s):
-                    raise PoolError(f"worker {handle.worker_id} snapshot timed out")
-                reply = handle.conn.recv()
-                if reply[0] != snap_id or reply[1] != "snap":
-                    raise PoolError(f"worker {handle.worker_id} snapshot framing broke")
-            except PoolError:
-                self._retire(handle, "snapshot_timeout")
-                continue
-            except (OSError, EOFError, BrokenPipeError):
-                self._retire(handle, "snapshot_pipe_broken")
-                continue
-            snapshots.append(reply[2])
-            self._idle.put(handle)
-        return snapshots
 
     def _observe_task(self, worker_id: int) -> None:
         if not instrumentation_enabled():

@@ -17,9 +17,9 @@ Serving-layer features (beyond the paper's demo):
   answered from memory (``xksearch serve --cache-size``);
 * **process-pool execution** — ``--workers-proc N`` moves cache-miss
   query execution past the GIL into N forked worker processes reading
-  the index through shared memory maps, with a cross-process shared
-  result cache (see :mod:`repro.xksearch.parallel` and
-  docs/PERFORMANCE.md, "Scaling past the GIL");
+  the index through shared memory maps (see
+  :mod:`repro.xksearch.parallel` and docs/PERFORMANCE.md, "Scaling past
+  the GIL");
 * **observability** (see docs/OBSERVABILITY.md) — every request is timed
   and counted in the process-global metrics registry; ``GET /metrics``
   exposes Prometheus text format covering server, cache, buffer-pool,
@@ -53,13 +53,13 @@ Endpoints:
 * ``GET /debug/slow[?limit=N][&clear=1]`` — bounded slow-query log plus
   current execution-histogram exemplars (JSON); ``clear`` returns the
   entries it removes;
-* ``GET /debug/pprof[?seconds=N][&fleet=1][&format=folded]`` — sampling-
-  profiler flamegraph stacks (``serve --profile-hz``): cumulative, or
-  only the next N seconds; ``fleet=1`` merges the pool workers' stacks
-  in; ``format=folded`` returns collapsed text for ``flamegraph.pl``;
-* ``GET /debug/heap[?start=1|stop=1][&top=N][&fleet=1]`` — tracemalloc
-  heap snapshot (top allocation sites by live size) with explicit
-  start/stop of tracking, plus the workers' heap summaries;
+* ``GET /debug/pprof[?seconds=N][&format=folded]`` — sampling-profiler
+  flamegraph stacks of this process (``serve --profile-hz``): cumulative,
+  or only the next N seconds; ``format=folded`` returns collapsed text
+  for ``flamegraph.pl``;
+* ``GET /debug/heap[?start=1|stop=1][&top=N]`` — tracemalloc heap
+  snapshot (top allocation sites by live size) with explicit start/stop
+  of tracking;
 * ``GET /healthz`` — liveness (plain text).
 
 With an exporter attached (``serve --export-jsonl FILE`` or
@@ -102,7 +102,6 @@ from repro.obs.logging import (
     set_current_trace_id,
     set_log_sampling,
 )
-from repro.obs.fleet import FleetCollector
 from repro.obs.metrics import (
     MetricsRegistry,
     Sample,
@@ -113,7 +112,6 @@ from repro.obs.profiling import (
     SamplingProfiler,
     heap_snapshot,
     heap_tracking_active,
-    merge_folded,
     render_folded,
     start_heap_tracking,
     stop_heap_tracking,
@@ -301,22 +299,6 @@ def system_collector(system: XKSearch):
                     "xks_segment_keywords", segments["keywords"],
                     help="Keywords with a packed posting segment.",
                 )
-        shared = system.engine.shared
-        if shared is not None:
-            stats = shared.stats
-            yield Sample(
-                "xks_shared_cache_hits_total", stats.hits, kind="counter",
-                help="Cross-process shared-cache hits (this process's view).",
-            )
-            yield Sample(
-                "xks_shared_cache_misses_total", stats.misses, kind="counter",
-                help="Cross-process shared-cache misses (this process's view).",
-            )
-            yield Sample(
-                "xks_shared_cache_invalidations_total", stats.invalidations,
-                kind="counter",
-                help="Shared-cache entries dropped on a generation mismatch.",
-            )
         pool = system.engine.pool
         if pool is not None:
             yield Sample(
@@ -401,7 +383,6 @@ class _Handler(BaseHTTPRequestHandler):
     tracer: Tracer = None
     registry: MetricsRegistry = None
     exporter: Optional[TraceExporter] = None
-    fleet: Optional[FleetCollector] = None
     profiler: Optional[SamplingProfiler] = None
     gate: Optional[AdmissionGate] = None
     default_timeout_ms: Optional[float] = None
@@ -719,7 +700,6 @@ class _Handler(BaseHTTPRequestHandler):
             "elapsed_ms": round(elapsed_ms, 3),
             "cached": stats.result_from_cache,
             "cache_hit": stats.cache_hit,
-            "shared_hit": stats.shared_hits > 0,
             "counters": stats.counters.as_dict(),
             "trace_id": self._trace_id,
         }
@@ -745,9 +725,6 @@ class _Handler(BaseHTTPRequestHandler):
             "server": self.metrics.summary() if self.metrics else {},
             "generation": engine.generation(),
             "cache": engine.cache.stats() if engine.cache is not None else None,
-            "shared_cache": (
-                engine.shared.stats_dict() if engine.shared is not None else None
-            ),
             "pool": engine.pool.stats_dict() if engine.pool is not None else None,
             "storage": self.system.storage_stats(),
             "counters": engine.counter_totals(),
@@ -763,8 +740,6 @@ class _Handler(BaseHTTPRequestHandler):
         engine_breaker = getattr(engine, "breaker", None)
         if engine_breaker is not None:
             payload["breaker"] = engine_breaker.stats_dict()
-        if self.fleet is not None:
-            payload["fleet"] = self.fleet.statz_dict()
         if self.profiler is not None:
             payload["profiler"] = self.profiler.totals()
         return payload
@@ -836,13 +811,11 @@ class _Handler(BaseHTTPRequestHandler):
         ``?seconds=N`` profiles only the *next* N seconds (the handler
         thread sleeps while the sampler runs — the request budget is the
         profile window); without it the cumulative stacks since startup
-        are returned.  ``&fleet=1`` merges the pool workers' latest
-        shipped stacks in; ``&format=folded`` renders collapsed text
+        are returned.  ``&format=folded`` renders collapsed text
         (``stack;stack;leaf count`` lines) for flamegraph tooling.
         """
         params = parse_qs(url.query)
         seconds_raw = (params.get("seconds") or [""])[0]
-        want_fleet = (params.get("fleet") or [""])[0].lower() in ("1", "true", "yes")
         folded = (params.get("format") or [""])[0].lower() == "folded"
         seconds = 0.0
         if seconds_raw:
@@ -865,8 +838,6 @@ class _Handler(BaseHTTPRequestHandler):
             stacks = self.profiler.collect_window(seconds)
         else:
             stacks = self.profiler.snapshot()
-        if want_fleet and self.fleet is not None:
-            stacks = merge_folded([stacks, self.fleet.merged_profile()])
         if folded:
             self._send(
                 200,
@@ -879,7 +850,6 @@ class _Handler(BaseHTTPRequestHandler):
             {
                 "enabled": True,
                 "seconds": seconds or None,
-                "fleet": want_fleet,
                 "totals": self.profiler.totals(),
                 "stacks": stacks,
             },
@@ -889,11 +859,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_debug_heap(self, url) -> bool:
         """tracemalloc heap snapshot; ``?start=1`` / ``?stop=1`` toggle
         tracking (it costs memory and time, so it is explicit), ``?top=N``
-        bounds the allocation-site list, ``&fleet=1`` adds the workers'
-        shipped heap summaries."""
+        bounds the allocation-site list."""
         params = parse_qs(url.query)
         top_raw = (params.get("top") or [""])[0]
-        want_fleet = (params.get("fleet") or [""])[0].lower() in ("1", "true", "yes")
         top = 30
         if top_raw:
             try:
@@ -911,11 +879,6 @@ class _Handler(BaseHTTPRequestHandler):
             "tracking": heap_tracking_active(),
             "parent": heap_snapshot(top=top),
         }
-        if want_fleet and self.fleet is not None:
-            payload["workers"] = {
-                worker: entry.get("heap", {})
-                for worker, entry in self.fleet.statz_dict()["workers"].items()
-            }
         self._send_json(200, payload)
         return False
 
@@ -984,7 +947,6 @@ class XKSearchServer(ThreadingHTTPServer):
         self._obs_registry: Optional[MetricsRegistry] = None
         self._obs_collector = None
         self._obs_exporter: Optional[TraceExporter] = None
-        self._obs_fleet: Optional[FleetCollector] = None
         self._obs_profiler: Optional[SamplingProfiler] = None
 
     def process_request_thread(self, request, client_address):
@@ -1016,10 +978,6 @@ class XKSearchServer(ThreadingHTTPServer):
         return gate.inflight
 
     def server_close(self):
-        if self._obs_fleet is not None:
-            # Stop the heartbeat before the pool goes away.
-            self._obs_fleet.close()
-            self._obs_fleet = None
         if self._obs_profiler is not None:
             self._obs_profiler.close()
             self._obs_profiler = None
@@ -1044,7 +1002,6 @@ def make_server(
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
     exporter: Optional[TraceExporter] = None,
-    fleet: Optional[FleetCollector] = None,
     profiler: Optional[SamplingProfiler] = None,
     gate: Optional[AdmissionGate] = None,
     default_timeout_ms: Optional[float] = None,
@@ -1058,7 +1015,7 @@ def make_server(
     one) for the lifetime of the server; ``server_close`` unregisters it.
     An *exporter* receives every finished request trace (asynchronously —
     the request path only enqueues) and is closed with the server, as
-    are a *fleet* collector and a *profiler*.  A *gate* sheds search
+    is a *profiler*.  A *gate* sheds search
     requests at its watermarks (429 + Retry-After) and tracks the
     in-flight count ``drain`` waits on;
     *default_timeout_ms* deadlines every search request that does not
@@ -1075,7 +1032,6 @@ def make_server(
             "tracer": tracer if tracer is not None else Tracer(),
             "registry": registry,
             "exporter": exporter,
-            "fleet": fleet,
             "profiler": profiler,
             "gate": gate,
             "default_timeout_ms": default_timeout_ms,
@@ -1089,7 +1045,6 @@ def make_server(
     server._obs_registry = registry
     server._obs_collector = collector
     server._obs_exporter = exporter
-    server._obs_fleet = fleet
     server._obs_profiler = profiler
     return server
 
@@ -1131,22 +1086,17 @@ def serve(
     always pass — see :func:`repro.obs.logging.set_log_sampling`).
 
     ``workers_proc > 0`` adds a pool of that many **worker processes**
-    executing cache-miss queries over mmap'd read-only index handles, with
-    a cross-process shared result cache; every process maps the same
-    posting-segment file (docs/PERFORMANCE.md, "Scaling past the GIL" and
-    "Posting segments").  The pool and cache are created *before* any
+    executing cache-miss queries over mmap'd read-only index handles;
+    every process maps the same posting-segment file (docs/PERFORMANCE.md,
+    "Scaling past the GIL" and "Posting segments").  The pool is created
+    *before* any
     server thread starts — fork with live threads is unsafe — and a
     platform without ``fork`` simply serves in-thread (logged, never
     fatal).  ``use_segments=False`` pins every process to the B+tree
     posting tier (byte-identical answers; for A/B comparison).
 
-    **Cross-process observability** (docs/OBSERVABILITY.md,
-    "Cross-process telemetry and profiling"): with a pool, a
-    :class:`~repro.obs.fleet.FleetCollector` heartbeat snapshots every
-    worker's registry and surfaces ``xks_worker_up{worker}`` + per-worker
-    rollups on ``/metrics`` and a ``fleet`` section on ``/statz``.
-    ``profile_hz > 0`` starts the sampling profiler (parent *and* each
-    worker) feeding ``GET /debug/pprof``; heap snapshots live at
+    ``profile_hz > 0`` starts the sampling profiler in this (the parent)
+    process, feeding ``GET /debug/pprof``; heap snapshots live at
     ``GET /debug/heap``.
 
     **Robustness** (docs/ROBUSTNESS.md): ``default_timeout_ms`` deadlines
@@ -1180,21 +1130,16 @@ def serve(
         exporter = TraceExporter(
             HttpCollectorSink(export_url, timeout=export_timeout)
         )
-    shared_cache = None
     pool = None
     if workers_proc > 0:
         from repro.errors import PoolError
         from repro.xksearch.parallel import WorkerPool
-        from repro.xksearch.shared_cache import SharedResultCache
 
-        shared_cache = SharedResultCache()
         try:
             pool = WorkerPool(
                 index_dir,
                 workers=workers_proc,
-                shared_cache=shared_cache,
                 use_segments=use_segments,
-                profile_hz=profile_hz,
                 verify_checksums=verify_checksums,
             )
         except PoolError as exc:
@@ -1203,14 +1148,10 @@ def serve(
     profiler: Optional[SamplingProfiler] = None
     if profile_hz > 0:
         profiler = SamplingProfiler(hz=profile_hz).start()
-    fleet: Optional[FleetCollector] = None
-    if pool is not None:
-        fleet = FleetCollector(pool).start()
     try:
         with XKSearch.open(
             index_dir,
             cache=cache,
-            shared_cache=shared_cache,
             use_segments=use_segments,
             verify_checksums=verify_checksums,
         ) as system:
@@ -1235,7 +1176,6 @@ def serve(
                 max_workers=max_workers,
                 tracer=tracer,
                 exporter=exporter,
-                fleet=fleet,
                 profiler=profiler,
                 gate=gate,
                 default_timeout_ms=default_timeout_ms,
@@ -1285,18 +1225,14 @@ def serve(
                 if leftover:
                     _log.warning("drain_timeout", inflight=leftover)
                 # server_close flushes the exporter; the outer finally
-                # closes the pool and shared caches after.
+                # closes the pool after.
                 server.server_close()
     finally:
         # Idempotent: server_close() already closed these on the normal
         # path; this covers a failed open before the server existed.
-        if fleet is not None:
-            fleet.close()
         if profiler is not None:
             profiler.close()
         if exporter is not None:
             exporter.close()
         if pool is not None:
             pool.close()
-        if shared_cache is not None:
-            shared_cache.close()

@@ -48,16 +48,10 @@ class XKSearch:
         tree: Optional[XMLTree] = None,
         skew_threshold: float = 10.0,
         cache: Optional[QueryCache] = None,
-        shared_cache=None,
     ):
         self.index = index
         self.tree = tree
-        self.engine = QueryEngine(
-            index,
-            skew_threshold=skew_threshold,
-            cache=cache,
-            shared_cache=shared_cache,
-        )
+        self.engine = QueryEngine(index, skew_threshold=skew_threshold, cache=cache)
         self._keyword_postings = (
             tree.keyword_postings() if tree is not None else None
         )
@@ -92,7 +86,6 @@ class XKSearch:
         pool_capacity: int = 4096,
         cache: Optional[QueryCache] = None,
         mmap_mode: bool = False,
-        shared_cache=None,
         use_segments: bool = True,
         verify_checksums: bool = False,
     ) -> "XKSearch":
@@ -103,8 +96,6 @@ class XKSearch:
         :class:`QueryCache` to memoize repeated queries (the serving path
         does; see docs/PERFORMANCE.md).  ``mmap_mode`` opens the index
         read-only over a shared memory map (what pool workers use);
-        ``shared_cache`` attaches a cross-process
-        :class:`~repro.xksearch.shared_cache.SharedResultCache`;
         ``use_segments=False`` forces every read onto the B+tree tier
         (byte-identical answers, used by A/B checks and benchmarks);
         ``verify_checksums`` re-checksums every page and posting block
@@ -122,7 +113,7 @@ class XKSearch:
             path = index.document_path()
             if path is not None:
                 tree = parse_file(path)
-        return cls(index, tree=tree, cache=cache, shared_cache=shared_cache)
+        return cls(index, tree=tree, cache=cache)
 
     @classmethod
     def from_tree(cls, tree: XMLTree) -> "XKSearch":

@@ -58,7 +58,7 @@ from repro.index.verify import fsck_index
 from repro.storage.bptree import BPlusTree
 from repro.storage.pager import Pager
 from repro.storage.records import keyword_range, split_posting_key, unpack_tagged_block
-from repro.xksearch.cache import current_generation
+from repro.index.generation import current_generation
 from repro.xmltree.level_table import LevelTable
 
 #: Four levels of ordinals 0..3 (``tests.conftest.dewey_st``'s shape):

@@ -42,7 +42,7 @@ from repro.index.segments import (
 )
 from repro.index.updates import IndexUpdater
 from repro.robustness.deadline import Deadline, bind_deadline
-from repro.xksearch.cache import bump_generation, current_generation
+from repro.index.generation import bump_generation, current_generation
 from repro.xksearch.system import XKSearch
 from repro.xmltree.codec import KeyLayout
 from repro.xmltree.generate import random_labeled_tree

@@ -15,7 +15,6 @@ from repro.obs.profiling import (
     _fold_stack,
     heap_snapshot,
     heap_tracking_active,
-    merge_folded,
     render_folded,
     start_heap_tracking,
     stop_heap_tracking,
@@ -49,10 +48,6 @@ class TestFolding:
         frame = sys._current_frames()[threading.get_ident()]
         folded = _fold_stack(frame, max_depth=2)
         assert len(folded.split(";")) == 2
-
-    def test_merge_folded_sums(self):
-        merged = merge_folded([{"a;b": 2, "a;c": 1}, {"a;b": 3}, {}])
-        assert merged == {"a;b": 5, "a;c": 1}
 
     def test_render_folded_hottest_first(self):
         text = render_folded({"cold;path": 1, "hot;path": 9, "zero": 0})

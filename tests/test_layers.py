@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 LAYERS = ["errors", "xmltree", "storage", "index", "core", "obs", "robustness",
           "xksearch", "workloads"]
 RANK = dict(zip(LAYERS, [0, 1, 2, 3, 4, 5, 5, 6, 7]))
-ALLOWED = {("index", "xksearch"), ("core", "robustness"), ("storage", "robustness"),
+ALLOWED = {("core", "robustness"), ("storage", "robustness"),
            ("obs", "robustness"), ("robustness", "obs"),
            # index implements core's MatchSource protocol and logs/counts
            # through obs; fault points and checksums come from robustness.

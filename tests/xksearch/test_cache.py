@@ -8,15 +8,9 @@ import pytest
 
 from repro.index.inverted import DiskKeywordIndex
 from repro.index.memory import MemoryKeywordIndex
+from repro.index.generation import bump_generation, current_generation, seed_generation
 from repro.index.updates import IndexUpdater
-from repro.xksearch.cache import (
-    LRUCache,
-    QueryCache,
-    bump_generation,
-    current_generation,
-    normalize_key,
-    seed_generation,
-)
+from repro.xksearch.cache import LRUCache, QueryCache, normalize_key
 from repro.xksearch.engine import ExecutionStats, QueryEngine
 from repro.xksearch.system import XKSearch
 

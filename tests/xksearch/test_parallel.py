@@ -1,16 +1,24 @@
 """Process-pool execution: byte-identical answers, invalidation, fallback."""
 
 import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.errors import PoolError
 from repro.index.builder import build_index
 from repro.index.updates import IndexUpdater
+from repro.obs.metrics import get_registry
 from repro.xksearch.cache import QueryCache
-from repro.xksearch.engine import ExecutionStats, QueryEngine
+from repro.xksearch.engine import ExecutionStats
 from repro.xksearch.parallel import WorkerPool
-from repro.xksearch.shared_cache import SharedResultCache
 from repro.xksearch.system import XKSearch
 from repro.xmltree.generate import dblp_like_tree, plant_keywords
 
@@ -33,24 +41,20 @@ def index_dir(tmp_path_factory):
 
 @pytest.fixture
 def pooled(index_dir):
-    """(pooled system, reference in-thread system, pool, shared cache)."""
-    shared = SharedResultCache(slot_count=128, slot_size=4096)
-    pool = WorkerPool(index_dir, workers=2, shared_cache=shared)
-    system = XKSearch.open(
-        index_dir, load_document=False, cache=QueryCache(), shared_cache=shared
-    )
+    """(pooled system with a local cache, reference in-thread system, pool)."""
+    pool = WorkerPool(index_dir, workers=2)
+    system = XKSearch.open(index_dir, load_document=False, cache=QueryCache())
     system.engine.attach_pool(pool)
     reference = XKSearch.open(index_dir, load_document=False)
-    yield system, reference, pool, shared
+    yield system, reference, pool
     pool.close()
-    shared.close()
     system.close()
     reference.close()
 
 
 class TestByteIdentical:
     def test_slca_all_algorithms(self, pooled):
-        system, reference, pool, _ = pooled
+        system, reference, pool = pooled
         for query in QUERIES:
             for algorithm in ("auto", "il", "scan", "stack"):
                 got = list(system.search_ids(query, algorithm=algorithm))
@@ -61,7 +65,7 @@ class TestByteIdentical:
         assert sum(w["tasks"] for w in stats["workers"]) > 0
 
     def test_lca_and_elca(self, pooled):
-        system, reference, _, _ = pooled
+        system, reference, _ = pooled
         for query in QUERIES:
             got = list(system.engine.execute_all_lca(query))
             want = list(reference.engine.execute_all_lca(query))
@@ -71,7 +75,7 @@ class TestByteIdentical:
             assert got == want, ("elca", query)
 
     def test_execute_many_matches_sequential(self, pooled):
-        system, reference, _, _ = pooled
+        system, reference, _ = pooled
         batch = QUERIES + ["xkbig xkrare", "xkmid"]  # repeats + reorderings
         got = system.engine.execute_many(batch)
         want = reference.engine.execute_many(batch)
@@ -93,17 +97,29 @@ class TestByteIdentical:
         finally:
             pool.close()
 
-    def test_shared_cache_round_trip(self, pooled):
-        system, _, _, shared = pooled
-        first = list(system.search_ids("xkrare xkbig"))
-        # A second engine in this process (fresh local cache) must hit the
-        # entry a worker stored in the shared segment.
-        other = QueryEngine(system.index, cache=QueryCache(), shared_cache=shared)
+    def test_reordered_repeat_is_a_local_hit(self, pooled):
+        """The parent's cache stores every pooled answer, so a repeat (in
+        any keyword order) never reaches the pool."""
+        system, _, pool = pooled
+
+        def tasks():
+            return sum(worker["tasks"] for worker in pool.stats_dict()["workers"])
+
+        def hits():
+            metric = get_registry().get_metric("xks_queries_total")
+            if metric is None:
+                return 0
+            return metric.labels(semantics="slca", algorithm="auto", cache="hit").value
+
+        first = list(system.engine.execute("xkrare xkbig"))
+        assert tasks() == 1
+        hits_before = hits()
         stats = ExecutionStats()
-        second = list(other.execute("xkbig xkrare", stats=stats))
+        second = list(system.engine.execute("xkbig xkrare", stats=stats))
         assert second == first
-        assert stats.shared_hits == 1
-        assert stats.result_from_cache
+        assert stats.cache_hit
+        assert hits() == hits_before + 1
+        assert tasks() == 1
 
 
 class TestMidRunUpdate:
@@ -112,11 +128,8 @@ class TestMidRunUpdate:
         plant_keywords(tree, {"xka": 5, "xkb": 14}, seed=3)
         target = tmp_path / "idx"
         build_index(tree, target, page_size=1024)
-        shared = SharedResultCache(slot_count=64)
-        pool = WorkerPool(target, workers=2, shared_cache=shared)
-        system = XKSearch.open(
-            target, load_document=False, cache=QueryCache(), shared_cache=shared
-        )
+        pool = WorkerPool(target, workers=2)
+        system = XKSearch.open(target, load_document=False, cache=QueryCache())
         system.engine.attach_pool(pool)
         try:
             # Warm both workers (sequential dispatch round-robins the
@@ -144,7 +157,6 @@ class TestMidRunUpdate:
             reference.close()
         finally:
             pool.close()
-            shared.close()
             system.close()
 
 
@@ -196,7 +208,7 @@ class TestDegradation:
         trace context; replaying them makes the parent registry exact."""
         from repro.obs.metrics import MetricsRegistry
 
-        _, _, pool, _ = pooled
+        _, _, pool = pooled
         task = pool.execute(
             "slca",
             ["xkmid", "xkbig"],
@@ -236,26 +248,13 @@ class TestDegradation:
         assert "cafecafecafecafecafecafecafecafe" in rendered
 
     def test_spans_off_by_default(self, pooled):
-        _, _, pool, _ = pooled
+        _, _, pool = pooled
         task = pool.execute("slca", ["xkmid"], "auto", 0)
         assert task.spans is None
         assert task.events  # telemetry events always ship
 
-    def test_collect_snapshots_round_trip(self, pooled):
-        _, _, pool, _ = pooled
-        pool.execute("slca", ["xkmid"], "auto", 0)
-        snapshots = pool.collect_snapshots()
-        assert len(snapshots) == pool.size
-        for payload in snapshots:
-            assert payload["pid"] > 0
-            assert isinstance(payload["samples"], list)
-            assert payload["heap"]["tracing"] is False
-        # Workers went back to the idle queue: the pool still serves.
-        task = pool.execute("slca", ["xkmid"], "auto", 0)
-        assert isinstance(task.ids, tuple)
-
     def test_worker_error_degrades_not_fails(self, pooled):
-        system, reference, _, _ = pooled
+        system, reference, _ = pooled
         # An unknown semantics string makes the worker reply with an
         # error; pool.execute surfaces it as PoolError.
         with pytest.raises(PoolError, match="error"):
@@ -263,3 +262,53 @@ class TestDegradation:
         # The pool stays healthy afterwards.
         got = list(system.search_ids("xkmid"))
         assert got == list(reference.search_ids("xkmid"))
+
+
+class TestServeSubprocess:
+    """``xksearch serve`` with a pool, run the way the end-to-end
+    benchmark runs it: a subprocess on an ephemeral port."""
+
+    @pytest.fixture
+    def serve_uncached(self, index_dir, tmp_path):
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+        out_path = tmp_path / "server.out"
+        with open(out_path, "w") as out:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.xksearch.cli", "serve", str(index_dir),
+                 "--port", "0", "--cache-size", "0", "--workers-proc", "2"],
+                env=env, stdout=out, stderr=subprocess.DEVNULL,
+            )
+        try:
+            deadline = time.monotonic() + 60.0
+            match = None
+            while match is None and time.monotonic() < deadline:
+                assert process.poll() is None, "server exited during startup"
+                match = re.search(r"http://([\d.]+):(\d+)/", out_path.read_text())
+                time.sleep(0.02)
+            assert match is not None, "server never printed its address"
+            yield f"http://{match.group(1)}:{match.group(2)}"
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(20.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+
+    def test_cache_size_zero_dispatches_every_repeat(self, serve_uncached):
+        def pool_tasks():
+            with urllib.request.urlopen(f"{serve_uncached}/metrics", timeout=10) as r:
+                text = r.read().decode()
+            return sum(
+                float(value)
+                for value in re.findall(r"^xks_pool_tasks_total\{[^}]*\} (\S+)$", text, re.M)
+            )
+
+        before = pool_tasks()
+        for _ in range(3):
+            url = f"{serve_uncached}/api/search?q=xkrare+xkbig"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert response.status == 200
+        # With caching off, nothing answers a repeat but a worker.
+        assert pool_tasks() == before + 3

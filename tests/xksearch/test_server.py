@@ -269,8 +269,8 @@ class TestProfilingEndpoints:
 
 
 class TestCrossProcessTelemetry:
-    """Pooled serving: worker spans under the request trace, fleet /statz,
-    and exact /metrics totals (no telemetry loss past the fork)."""
+    """Pooled serving: worker spans under the request trace and exact
+    /metrics totals (no telemetry loss past the fork)."""
 
     @pytest.fixture(scope="class")
     def pooled_server(self, tmp_path_factory):
@@ -280,7 +280,6 @@ class TestCrossProcessTelemetry:
             pytest.skip("process pool requires the fork start method")
         from repro.index.builder import build_index
         from repro.obs.export import MemorySink, TraceExporter
-        from repro.obs.fleet import FleetCollector
         from repro.obs.metrics import get_registry
         from repro.obs.tracing import Tracer
         from repro.xksearch.parallel import WorkerPool
@@ -293,7 +292,6 @@ class TestCrossProcessTelemetry:
         pool = WorkerPool(index_dir, workers=2)
         system = XKSearch.open(index_dir, load_document=False)
         system.engine.attach_pool(pool)
-        fleet = FleetCollector(pool, heartbeat_s=60.0)  # poll manually
         sink = MemorySink()
         exporter = TraceExporter(sink)
         server = make_server(
@@ -301,12 +299,11 @@ class TestCrossProcessTelemetry:
             port=0,
             tracer=Tracer(sample_rate=1.0),
             exporter=exporter,
-            fleet=fleet,
         )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address
-        yield f"http://{host}:{port}", sink, exporter, fleet, get_registry()
+        yield f"http://{host}:{port}", sink, exporter, get_registry()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -314,7 +311,7 @@ class TestCrossProcessTelemetry:
         system.close()
 
     def test_worker_spans_land_under_request_trace(self, pooled_server):
-        url, sink, exporter, _, _ = pooled_server
+        url, sink, exporter, _ = pooled_server
         trace_id = "feedbeef" * 2  # 16-hex trace id
         request = urllib.request.Request(
             f"{url}/api/search?q=xkmid+xkbig",
@@ -352,7 +349,7 @@ class TestCrossProcessTelemetry:
         assert child_names == {"worker.generation", "worker.execute"}
 
     def test_metrics_totals_are_fleet_exact(self, pooled_server):
-        url, _, _, fleet, registry = pooled_server
+        url, _, _, registry = pooled_server
 
         def queries_total():
             return sum(
@@ -375,18 +372,3 @@ class TestCrossProcessTelemetry:
             if sample.name == "xks_query_exec_ms_count"
         )
         assert exec_count >= 3
-
-    def test_statz_fleet_section(self, pooled_server):
-        url, _, _, fleet, _ = pooled_server
-        fetch_json(f"{url}/api/search?q=xkmid")
-        fleet.poll()
-        status, _, payload = fetch_json(f"{url}/statz")
-        assert status == 200
-        assert len(payload["fleet"]["workers"]) == 2
-        for entry in payload["fleet"]["workers"].values():
-            assert entry["up"] is True
-        total = sum(
-            entry["queries_total"]
-            for entry in payload["fleet"]["workers"].values()
-        )
-        assert total >= 1.0
