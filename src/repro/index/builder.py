@@ -52,12 +52,9 @@ FREQUENCY_NAME = "frequency.json"
 TAGS_NAME = "tags.json"
 INDEX_FILE_NAME = "index.db"
 DOCUMENT_NAME = "document.xml"
-#: 2: slotted B+tree leaves (:mod:`repro.storage.bptree`); version 1
-#: indexes hold the old leaf format and are refused, to be rebuilt.
-FORMAT_VERSION = 2
-#: How the scan tree's blocks are keyed (:mod:`repro.storage.records`),
-#: recorded in the manifest: the scheme ``IndexUpdater`` edits in place.
-SCAN_KEYS = "first-posting"
+#: 3: prefix-truncated slotted B+tree leaves (:mod:`repro.storage.bptree`);
+#: older indexes hold an older leaf format and are refused, to be rebuilt.
+FORMAT_VERSION = 3
 
 _log = get_logger("index")
 
@@ -197,7 +194,6 @@ def build_index(
         "keywords": report.keywords,
         "postings": report.postings,
         "has_document": document_text is not None,
-        "scan_keys": SCAN_KEYS,
     }
     layout = key_layout(codec, level_table) if segments else None
     if layout is not None:

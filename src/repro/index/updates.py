@@ -54,14 +54,11 @@ the manifest — each written to a temporary sibling and renamed, so none
 is ever seen half-written and whoever sees the new manifest finds
 everything it describes.
 
-Three constraints are enforced rather than silently broken:
+Two constraints are enforced rather than silently broken:
 
 * new Dewey numbers must fit the existing level table — widening a level
   would change every packed encoding on disk, so the updater raises and
   the caller must rebuild (``build_index``) instead;
-* an index whose manifest does not record the scan-key scheme above keys
-  its blocks by sequence number, which cannot be edited in place: the
-  updater refuses it (rebuild); readers serve either scheme;
 * a stored ``document.xml`` no longer matches an updated index, so the
   updater deletes it and flags the manifest.
 """
@@ -80,7 +77,6 @@ from repro.index.builder import (
     FREQUENCY_NAME,
     INDEX_FILE_NAME,
     MANIFEST_NAME,
-    SCAN_KEYS,
     TAGS_NAME,
     _default_block_budget,
     key_layout,
@@ -125,11 +121,6 @@ class IndexUpdater:
     def __init__(self, index_dir: Union[str, os.PathLike]):
         self.index_dir = os.fspath(index_dir)
         self.manifest = load_manifest(self.index_dir)
-        if self.manifest.get("scan_keys") != SCAN_KEYS:
-            raise IndexFormatError(
-                f"index at {self.index_dir} does not key its scan blocks by their "
-                "first posting, so they cannot be edited in place; rebuild it"
-            )
         self.level_table = load_level_table(self.index_dir)
         self.codec = make_codec(self.manifest["codec"], self.level_table)
         self._key_layout = key_layout(self.manifest["codec"], self.level_table)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
 from repro.errors import ReproError
-from repro.index.builder import SCAN_KEYS, load_manifest
+from repro.index.builder import load_manifest
 from repro.index.inverted import DiskKeywordIndex
 from repro.storage.records import keyword_range, split_posting_key, unpack_tagged_block
 from repro.xmltree.dewey import DeweyTuple
@@ -279,10 +279,9 @@ def _check_scan_blocks(
         deweys = [dewey for dewey, _ in scanned]
         if deweys != sorted(set(deweys)):
             report._fail(f"scan blocks for {keyword!r} not strictly sorted")
-        if index.manifest.get("scan_keys") == SCAN_KEYS:
-            problem = _block_key_violation(index, keyword)
-            if problem:
-                report._fail(f"scan block keys for {keyword!r}: {problem}")
+        problem = _block_key_violation(index, keyword)
+        if problem:
+            report._fail(f"scan block keys for {keyword!r}: {problem}")
 
 
 def _block_key_violation(index: DiskKeywordIndex, keyword: str) -> str:

@@ -21,13 +21,18 @@ Supported operations map one-to-one onto what the algorithms need:
 Page layout (both node kinds start with ``type:u8, nkeys:u16``; every
 integer is big-endian):
 
-* leaf (slotted): ``next_leaf:u32``; the directory — ``nkeys+1`` ``u16``
-  record-end offsets (the first is 0) and ``nkeys`` ``u16`` key lengths;
-  the ``key‖value`` records, contiguous and in key order.  Record ``i`` is
-  ``records[end[i]:end[i+1]]``, its key the first ``klen[i]`` bytes.  A
-  lookup bisects the page in place; an edit splices it (header, directory
-  with the later offsets shifted, records before, new record, records
-  after) — no per-entry Python work either way.
+* leaf (slotted, prefix-truncated): ``next_leaf:u32, plen:u16``; the
+  prefix every key on the page shares, ``cpl(first key, last key)``,
+  stored once (Bayer & Unterauer's prefix B-trees); the directory —
+  ``nkeys+1`` ``u16`` record-end offsets (the first is 0) and ``nkeys``
+  ``u16`` key-suffix lengths; the ``suffix‖value`` records, contiguous and
+  in key order.  Record ``i`` is ``records[end[i]:end[i+1]]``, its key the
+  prefix plus its first ``klen[i]`` bytes.  A lookup compares the probe
+  with the prefix once and bisects the suffixes in place; an edit that
+  keeps ``cpl`` splices the page (header, directory with the later offsets
+  shifted, records before, new record, records after), one that moves it
+  repacks the page.  A leaf is always exactly ``_LeafNode.pack`` of its
+  entries, and every API hands out full keys.
 * internal: ``(nkeys+1) * child:u32`` then per key ``klen:u16, key``
 """
 
@@ -37,7 +42,7 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PageError, TreeCorruptError
@@ -45,7 +50,7 @@ from repro.storage.buffer_pool import BufferPool
 
 _LEAF = 1
 _INTERNAL = 0
-_LEAF_HEADER = 1 + 2 + 4
+_LEAF_HEADER = 1 + 2 + 4 + 2
 _EMPTY_LEAF = _LEAF_HEADER + 2  # header + the first record offset
 _INTERNAL_HEADER = 1 + 2
 _SWAP_U16 = sys.byteorder == "little"
@@ -60,26 +65,43 @@ def _shift_u16s(raw: bytes, delta: int) -> bytes:
     return (int.from_bytes(raw, "big") + delta * lanes).to_bytes(len(raw), "big")
 
 
+def _cpl(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of *a* and *b*: the highest set bit of
+    their XOR marks the first byte that differs."""
+    n = min(len(a), len(b))
+    diff = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+    return n - (diff.bit_length() + 7) // 8
+
+
+def _packed_size(entries: Sequence[Entry]) -> int:
+    """Length of ``_LeafNode.pack(entries, ...)``, without packing."""
+    plen = _cpl(entries[0][0], entries[-1][0]) if entries else 0
+    return _EMPTY_LEAF + plen + sum(len(k) + len(v) + 4 - plen for k, v in entries)
+
+
 class _LeafNode:
     """A slotted leaf, read in place: the page bytes (the buffer pool's own
-    object, not a copy) plus its directory as two arrays.
+    object, not a copy), the key prefix, and the directory as two arrays.
 
-    Indexing a leaf yields its keys — ``leaf[i]``, ``len(leaf)`` — so
-    ``bisect`` runs over the page itself (``bisect(key=)`` needs 3.10).
+    Indexing a leaf yields its key *suffixes* — ``leaf[i]``, ``len(leaf)``
+    — so ``bisect`` runs over the page itself (``bisect(key=)`` needs
+    3.10); :meth:`bisect` maps a full probe key onto them.
     """
 
-    __slots__ = ("page", "next_leaf", "ends", "klens", "base")
+    __slots__ = ("page", "next_leaf", "prefix", "ends", "klens", "base")
 
     def __init__(self, page: bytes):
         nkeys = int.from_bytes(page[1:3], "big")
-        self.base = base = _EMPTY_LEAF + 4 * nkeys
+        ends_at = _LEAF_HEADER + int.from_bytes(page[7:9], "big")
+        self.base = base = ends_at + 2 + 4 * nkeys
         if base > len(page):
-            raise TreeCorruptError(f"leaf directory of {nkeys} entries overruns its page")
+            raise TreeCorruptError(f"leaf prefix and {nkeys}-entry directory overrun their page")
         self.page = page
         self.next_leaf = int.from_bytes(page[3:7], "big")
+        self.prefix = page[_LEAF_HEADER:ends_at]
         # The directory, big-endian on the page, in one C-level copy each.
-        self.ends = array("H", page[_LEAF_HEADER:_EMPTY_LEAF + 2 * nkeys])
-        self.klens = array("H", page[_EMPTY_LEAF + 2 * nkeys:base])
+        self.ends = array("H", page[ends_at:ends_at + 2 + 2 * nkeys])
+        self.klens = array("H", page[ends_at + 2 + 2 * nkeys:base])
         if _SWAP_U16:
             self.ends.byteswap()
             self.klens.byteswap()
@@ -88,13 +110,15 @@ class _LeafNode:
 
     @classmethod
     def pack(cls, entries: Sequence[Entry], next_leaf: int) -> "_LeafNode":
-        ends = [0]
-        for key, value in entries:
-            ends.append(ends[-1] + len(key) + len(value))
+        plen = _cpl(entries[0][0], entries[-1][0]) if entries else 0
+        records = [key[plen:] + value for key, value in entries]
+        ends = list(accumulate(map(len, records), initial=0))
         return cls(b"".join((
-            struct.pack(f">BHI{len(ends)}H", _LEAF, len(entries), next_leaf, *ends),
-            struct.pack(f">{len(entries)}H", *(len(key) for key, _ in entries)),
-            *chain.from_iterable(entries),
+            struct.pack(">BHIH", _LEAF, len(entries), next_leaf, plen),
+            entries[0][0][:plen] if entries else b"",
+            struct.pack(f">{len(ends)}H{len(records)}H", *ends,
+                        *[len(key) - plen for key, _ in entries]),
+            *records,
         )))
 
     def __len__(self) -> int:
@@ -104,37 +128,56 @@ class _LeafNode:
         start = self.base + self.ends[i]
         return self.page[start:start + self.klens[i]]
 
+    def bisect(self, key: bytes, right: bool = False) -> int:
+        """``bisect_left`` (or ``_right``) of *key* among the full keys.
+        Every key starts with the prefix, so a probe that does not lies
+        before all of them or after all of them."""
+        prefix = self.prefix
+        if key.startswith(prefix):
+            return (bisect_right if right else bisect_left)(self, key[len(prefix):])
+        return 0 if key < prefix else len(self.klens)
+
     def entry(self, i: int) -> Entry:
         start = self.base + self.ends[i]
         split = start + self.klens[i]
-        return self.page[start:split], self.page[split:self.base + self.ends[i + 1]]
+        return self.prefix + self.page[start:split], self.page[split:self.base + self.ends[i + 1]]
 
     def entries(self) -> List[Entry]:
-        page, base, ends = self.page, self.base, self.ends
+        page, base, ends, prefix = self.page, self.base, self.ends, self.prefix
         return [
-            (page[base + start:base + start + klen], page[base + start + klen:base + end])
+            (prefix + page[base + start:base + start + klen], page[base + start + klen:base + end])
             for start, klen, end in zip(ends, self.klens, ends[1:])
         ]
 
     def encode(self) -> bytes:
         return self.page
 
+    def keeps_prefix(self, i: int, j: int, key: Optional[bytes]) -> bool:
+        """Whether replacing entries ``[i, j)`` by one under *key* (none if
+        ``None``) leaves ``cpl(first, last)`` — the stored prefix — as is:
+        an insert within the prefix of a non-empty leaf, or a delete that
+        keeps the first and last entry."""
+        if key is None:
+            return 0 < i and j < len(self.klens)
+        return len(self.klens) > 0 and key.startswith(self.prefix)
+
     def spliced(self, i: int, j: int, entry: Optional[Entry]) -> bytes:
         """The page with entries ``[i, j)`` replaced by *entry* (none if
-        ``None``): unchanged runs are copied as whole slices."""
-        page, base, n = self.page, self.base, len(self.klens)
+        ``None``), for an edit that :meth:`keeps_prefix`: unchanged runs
+        are copied as whole slices."""
+        page, base, n, plen = self.page, self.base, len(self.klens), len(self.prefix)
         start, stop = self.ends[i], self.ends[j]
-        klens_at = _EMPTY_LEAF + 2 * n
+        ends_at = _LEAF_HEADER + plen
+        klens_at = ends_at + 2 + 2 * n
         record = new_end = new_klen = b""
         if entry is not None:
-            record = entry[0] + entry[1]
+            record = entry[0][plen:] + entry[1]
             new_end = (start + len(record)).to_bytes(2, "big")
-            new_klen = len(entry[0]).to_bytes(2, "big")
+            new_klen = (len(entry[0]) - plen).to_bytes(2, "big")
         nkeys = n - (j - i) + (entry is not None)
         return b"".join((
-            page[:1], nkeys.to_bytes(2, "big"), page[3:_LEAF_HEADER],
-            page[_LEAF_HEADER:_EMPTY_LEAF + 2 * i], new_end,
-            _shift_u16s(page[_EMPTY_LEAF + 2 * j:klens_at], len(record) - (stop - start)),
+            page[:1], nkeys.to_bytes(2, "big"), page[3:ends_at + 2 + 2 * i], new_end,
+            _shift_u16s(page[ends_at + 2 + 2 * j:klens_at], len(record) - (stop - start)),
             page[klens_at:klens_at + 2 * i], new_klen, page[klens_at + 2 * j:base],
             page[base:base + start], record, page[base + stop:base + self.ends[n]],
         ))
@@ -256,9 +299,11 @@ class BPlusTree:
     def search(self, key: bytes) -> Optional[bytes]:
         """Value stored under *key*, or ``None``."""
         leaf = self._read_node(self._descend(key))
-        i = bisect_left(leaf, key)
-        if i < len(leaf) and leaf[i] == key:
-            return leaf.entry(i)[1]
+        i = leaf.bisect(key)
+        if i < len(leaf):
+            found, value = leaf.entry(i)
+            if found == key:
+                return value
         return None
 
     def _descend(self, key: bytes) -> int:
@@ -273,7 +318,7 @@ class BPlusTree:
     def ceiling_entry(self, key: bytes) -> Optional[Entry]:
         """Smallest entry with key >= *key* — the disk right match (rm)."""
         leaf = self._read_node(self._descend(key))
-        return self._ceiling_from(leaf, bisect_left(leaf, key))
+        return self._ceiling_from(leaf, leaf.bisect(key))
 
     def floor_entry(self, key: bytes) -> Optional[Entry]:
         """Largest entry with key <= *key* — the disk left match (lm).
@@ -285,7 +330,7 @@ class BPlusTree:
         pages are pinned in practice, so this costs no physical I/O).
         """
         leaf, branch_points = self._descend_noting_left(key)
-        return self._floor_from(leaf, bisect_right(leaf, key), branch_points)
+        return self._floor_from(leaf, leaf.bisect(key, right=True), branch_points)
 
     def neighbors(self, key: bytes) -> Tuple[Optional[Entry], Optional[Entry]]:
         """``(floor_entry(key), ceiling_entry(key))`` from **one** descent.
@@ -297,7 +342,7 @@ class BPlusTree:
         key itself is present, both entries are that key.
         """
         leaf, branch_points = self._descend_noting_left(key)
-        i = bisect_left(leaf, key)  # keys are unique: one bisect serves both
+        i = leaf.bisect(key)  # keys are unique: one bisect serves both
         ceiling = self._ceiling_from(leaf, i)
         if ceiling is not None and ceiling[0] == key:
             return ceiling, ceiling
@@ -354,12 +399,12 @@ class BPlusTree:
         """Entries with start <= key < end, in key order, via the leaf chain."""
         pid = self._descend(start) if start is not None else self._first_leaf()
         leaf = self._read_node(pid)
-        i = bisect_left(leaf, start) if start is not None else 0
+        i = leaf.bisect(start) if start is not None else 0
         while True:
-            page, base, ends = leaf.page, leaf.base, leaf.ends
+            page, base, ends, prefix = leaf.page, leaf.base, leaf.ends, leaf.prefix
             for at, klen, stop in zip(ends[i:], leaf.klens[i:], ends[i + 1:]):
                 at += base
-                key = page[at:at + klen]
+                key = prefix + page[at:at + klen]
                 if end is not None and key >= end:
                     return
                 yield key, page[at + klen:base + stop]
@@ -393,8 +438,9 @@ class BPlusTree:
         """Verify the structural invariants; returns violation messages.
 
         Checks, over the whole tree: every leaf's directory (offsets
-        non-decreasing, each key within its record); keys sorted within
-        every node; every key in child ``i`` of an internal node lies in
+        non-decreasing, each key suffix within its record); keys sorted
+        within every node; every key in child ``i`` of an internal node —
+        for a leaf, its prefix plus each suffix — lies in
         ``[separator[i-1], separator[i])``; the leaf chain visits exactly
         the leaves in left-to-right order.  Used by ``xksearch verify``.
         """
@@ -484,16 +530,20 @@ class BPlusTree:
         ``None``."""
         node = self._read_node(pid)
         if isinstance(node, _LeafNode):
-            i = bisect_left(node, key)
-            is_new = i == len(node) or node[i] != key
+            i = node.bisect(key)
+            is_new = i == len(node) or node.entry(i)[0] != key
             j = i + (not is_new)
-            ends = node.ends
-            grown = 4 * is_new + len(key) + len(value) - (ends[j] - ends[i])
-            if node.base + ends[-1] + grown <= self.page_capacity:
-                self._write_node(pid, _LeafNode(node.spliced(i, j, (key, value))))
-                return is_new, None
+            if node.keeps_prefix(i, j, key):
+                ends = node.ends
+                grown = 4 * is_new + len(key) - len(node.prefix) + len(value) - (ends[j] - ends[i])
+                if node.base + ends[-1] + grown <= self.page_capacity:
+                    self._write_node(pid, _LeafNode(node.spliced(i, j, (key, value))))
+                    return is_new, None
             entries = node.entries()
             entries[i:j] = [(key, value)]
+            if _packed_size(entries) <= self.page_capacity:
+                self._write_node(pid, _LeafNode.pack(entries, node.next_leaf))
+                return is_new, None
             return is_new, self._split_leaf(pid, entries, node.next_leaf)
         slot = bisect_right(node.keys, key)
         is_new, split = self._insert_into(node.children[slot], key, value)
@@ -526,14 +576,22 @@ class BPlusTree:
 
     @staticmethod
     def _split_point(entries: List[Entry]) -> int:
-        """Index splitting the entries into two roughly equal byte halves."""
-        total = sum(len(k) + len(v) + 4 for k, v in entries)
-        acc = 0
-        for i, (k, v) in enumerate(entries):
-            acc += len(k) + len(v) + 4
-            if acc >= total // 2:
-                return min(max(i + 1, 1), len(entries) - 1)
-        return len(entries) // 2
+        """Index splitting the entries into two leaves, the larger packed
+        page as small as possible.  A leaf only grows as entries join it,
+        so the scan stops where the left side outgrows the right; a key
+        inserted outside a leaf's prefix may lengthen every other key's
+        suffix, and can end up alone on its side."""
+        sizes = [len(k) + len(v) + 4 for k, v in entries]
+        first, last, total, n = entries[0][0], entries[-1][0], sum(sizes), len(entries)
+        best, left = (total, 1), 0
+        for m in range(1, n):
+            left += sizes[m - 1]
+            left_page = left - (m - 1) * _cpl(first, entries[m - 1][0])
+            right_page = total - left - (n - m - 1) * _cpl(entries[m][0], last)
+            best = min(best, (max(left_page, right_page), m))
+            if left_page >= right_page:
+                break
+        return best[1]
 
     def delete(self, key: bytes) -> bool:
         """Remove the entry for *key*; True if it existed.
@@ -546,10 +604,14 @@ class BPlusTree:
         """
         pid = self._descend(key)
         leaf = self._read_node(pid)
-        i = bisect_left(leaf, key)
-        if i >= len(leaf) or leaf[i] != key:
+        i = leaf.bisect(key)
+        if i >= len(leaf) or leaf.entry(i)[0] != key:
             return False
-        self._write_node(pid, _LeafNode(leaf.spliced(i, i + 1, None)))
+        if leaf.keeps_prefix(i, i + 1, None):
+            self._write_node(pid, _LeafNode(leaf.spliced(i, i + 1, None)))
+        else:  # the prefix can only grow: the page does not
+            entries = leaf.entries()
+            self._write_node(pid, _LeafNode.pack(entries[:i] + entries[i + 1:], leaf.next_leaf))
         return True
 
     # -- bulk loading --------------------------------------------------------------
@@ -591,22 +653,29 @@ class BPlusTree:
         return count
 
     def _leaf_runs(self, entries: Iterable[Entry], budget: int) -> Iterator[List[Entry]]:
-        """Strictly sorted *entries* cut into runs that fill a leaf to
-        *budget* bytes."""
+        """Strictly sorted *entries* cut into runs whose packed leaf fills
+        *budget* bytes.  A run's prefix (first key vs its latest) only
+        shrinks, and it stays put while keys start with it."""
         run: List[Entry] = []
-        size = _EMPTY_LEAF
-        prev_key: Optional[bytes] = None
+        full = _EMPTY_LEAF  # the run's page size with no prefix stored
+        prefix = prev_key = b""
+        room = self.page_capacity - _EMPTY_LEAF
         for key, value in entries:
-            if prev_key is not None and key <= prev_key:
+            if run and key <= prev_key:
                 raise TreeCorruptError(f"bulk_load input not strictly sorted at key {key!r}")
             prev_key = key
-            self._check_entry_fits(key, value)
             entry_size = len(key) + len(value) + 4
-            if run and size + entry_size > budget:
+            if entry_size > room:
+                self._check_entry_fits(key, value)  # raises
+            if run:
+                common = prefix if key.startswith(prefix) else prefix[:_cpl(prefix, key)]
+                if full + entry_size - len(run) * len(common) <= budget:
+                    run.append((key, value))
+                    full += entry_size
+                    prefix = common
+                    continue
                 yield run
-                run, size = [], _EMPTY_LEAF
-            run.append((key, value))
-            size += entry_size
+            run, full, prefix = [(key, value)], _EMPTY_LEAF + entry_size, key
         if run:
             yield run
 

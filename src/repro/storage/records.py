@@ -9,9 +9,7 @@ under the :func:`posting_key` of the posting that was its first when the
 block was created.  So ``block key <= its first posting < next block's
 key`` — the block a posting belongs in is the floor of its IL key — while
 a range scan of ``keyword_range`` still yields the list's blocks in
-order, which is all a reader relies on.  (Indexes built before this
-scheme key blocks ``keyword ⊕ 4-byte sequence number``; they read the
-same way.)
+order, which is all a reader relies on.
 
 The composites must compare bytewise in (keyword, suffix) order, which
 holds because keywords are NUL-free and the separator is a single NUL
@@ -51,9 +49,12 @@ def posting_key(keyword: str, dewey_bytes: bytes) -> bytes:
 def split_posting_key(key: bytes) -> Tuple[str, bytes]:
     """Inverse of :func:`posting_key`."""
     sep = key.find(_SEP)
-    if sep < 0:
-        raise IndexFormatError(f"malformed posting key: {key!r}")
-    return key[:sep].decode("utf-8"), key[sep + 1:]
+    try:
+        if sep >= 0:
+            return key[:sep].decode("utf-8"), key[sep + 1:]
+    except UnicodeDecodeError:
+        pass
+    raise IndexFormatError(f"malformed posting key: {key!r}")
 
 
 def keyword_range(keyword: str) -> Tuple[bytes, bytes]:

@@ -15,6 +15,7 @@ from repro.index.builder import (
 )
 from repro.index.inverted import DiskKeywordIndex
 from repro.index.updates import IndexUpdater
+from repro.workloads.datasets import PlantedCorpus
 from repro.xmltree.codec import PackedDeweyCodec, VarintDeweyCodec
 from repro.xmltree.level_table import LevelTable
 
@@ -94,7 +95,7 @@ class TestManifest:
     def test_load_manifest(self, tmp_path, school):
         build_index(school, tmp_path / "idx")
         manifest = load_manifest(tmp_path / "idx")
-        assert manifest["version"] == FORMAT_VERSION == 2
+        assert manifest["version"] == FORMAT_VERSION == 3
         assert manifest["codec"] == "packed"
 
     def test_missing_manifest(self, tmp_path):
@@ -119,7 +120,7 @@ class TestManifest:
         manifest = json.loads(path.read_text())
         manifest["version"] = 1  # B+tree leaves before the slotted format
         path.write_text(json.dumps(manifest))
-        advice = r"predates the current page format \(version 2\); rebuild .*`xksearch build`"
+        advice = r"predates the current page format \(version 3\); rebuild .*`xksearch build`"
         with pytest.raises(IndexFormatError, match=advice):
             load_manifest(target)
         # Readers and the updater stop at the same check, before any page.
@@ -129,6 +130,43 @@ class TestManifest:
             IndexUpdater(target)
         assert main(["serve", str(target), "--port", "0"]) == 1
         assert "predates the current page format" in capsys.readouterr().err
+
+    def test_unprefixed_leaf_format_refused_with_rebuild_advice(self, tmp_path, school):
+        # Version 2 leaves repeat each key in full: readers and the updater
+        # both refuse them before reading a page, and say how to recover.
+        target = tmp_path / "idx"
+        build_index(school, target)
+        path = target / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["version"] = 2
+        path.write_text(json.dumps(manifest))
+        advice = (
+            r"\(format version 2\) predates the current page format \(version 3\); "
+            r"rebuild it from its document with `xksearch build`"
+        )
+        for open_index in (DiskKeywordIndex, IndexUpdater):
+            with pytest.raises(IndexFormatError, match=advice):
+                open_index(target)
+
+
+class TestSpace:
+    def test_il_tree_stores_each_leaf_prefix_once(self, tmp_path):
+        # A seeded planted corpus (58 880 postings, 4 KiB pages).  With
+        # every IL key in full its tree takes 20.7 B per posting; storing
+        # each leaf's shared prefix once brings it to 10.4.  Scan blocks
+        # hold no composite keys, so their 7.03 B must not grow.
+        corpus = PlantedCorpus.for_frequencies(
+            [(10, 8), (100, 8), (1000, 8), (3000, 10), (10000, 2)], seed=2005
+        )
+        report = build_index(corpus.lists, tmp_path / "idx")
+
+        def bytes_per_posting(tree):
+            pages = len(tree.leaf_page_ids()) + len(tree.internal_page_ids())
+            return pages * report.page_size / report.postings
+
+        with DiskKeywordIndex(tmp_path / "idx") as index:
+            assert bytes_per_posting(index.il_tree) <= 11.0
+            assert bytes_per_posting(index.scan_tree) <= 7.03
 
 
 class TestScanBlocks:

@@ -162,22 +162,6 @@ class TestMetadata:
         assert manifest["has_document"] is False
         assert not (target / "document.xml").exists()
 
-    def test_index_without_scan_key_marker_is_refused(self, indexed):
-        """Blocks keyed by sequence number cannot be edited in place: the
-        writer says rebuild; readers serve such an index as before."""
-        import json
-
-        from repro.errors import IndexFormatError
-
-        target, tree = indexed
-        manifest = json.loads((target / "manifest.json").read_text())
-        assert manifest.pop("scan_keys") == "first-posting"
-        (target / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IndexFormatError, match="rebuild"):
-            IndexUpdater(target)
-        with DiskKeywordIndex(target) as index:
-            assert index.keyword_list("xka") == tree.keyword_lists()["xka"]
-
     def test_noop_update_keeps_document(self, indexed):
         target, _ = indexed
         with IndexUpdater(target):

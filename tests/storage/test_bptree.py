@@ -1,13 +1,14 @@
 """Unit and model-based tests for the disk B+tree."""
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageError, TreeCorruptError
-from repro.storage.bptree import BPlusTree
+from repro.storage.bptree import BPlusTree, _LeafNode
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 
@@ -125,7 +126,7 @@ class TestFloorCeiling:
         # Force multiple leaves, then probe just below each leaf's first key.
         fill(tree, 300)
         for pid in tree.leaf_page_ids()[1:]:
-            first = tree._read_node(pid)[0]
+            first = tree._read_node(pid).entry(0)[0]
             probe = first[:-1] + bytes([first[-1] - 1]) + b"\xff"
             result = tree.floor_entry(probe)
             assert result is not None
@@ -273,6 +274,65 @@ class TestBulkLoad:
         tree.insert(b"00050x", b"new")
         keys = [k for k, _ in tree.scan(b"00050", b"00052")]
         assert keys == [b"00050", b"00050x", b"00051"]
+
+
+class TestPrefixLeaf:
+    """A leaf stores ``cpl(first key, last key)`` once and bisects the
+    suffixes: every probe must land where bisecting the full keys would."""
+
+    @pytest.mark.parametrize("keys, prefix", [
+        ([b"kw\x00\x01", b"kw\x00\x02\x05", b"kw\x00\x07"], b"kw\x00"),
+        ([b"kw\x00", b"kw\x00\x01", b"kw\x00\x02"], b"kw\x00"),  # empty first suffix
+        ([b"a", b"kw\x00\x01", b"z"], b""),
+        ([b"kw\x00\x03"], b"kw\x00\x03"),  # one key: all of it is the prefix
+    ])
+    def test_bisect_matches_full_keys(self, keys, prefix):
+        leaf = _LeafNode.pack([(key, b"v") for key in keys], 0)
+        assert leaf.prefix == prefix
+        assert leaf.entries() == [(key, b"v") for key in keys]
+        probes = {
+            b"", b"\x00", b"\xff", b"kv\xff", b"kx",  # below / above the prefix range
+            prefix, prefix + b"\x00", prefix + b"\xff",  # equal to it, just past it
+            b"k", b"kw",  # proper prefixes of the prefix
+            *keys, *(key[:-1] for key in keys), *(key + b"\x00" for key in keys),
+        }
+        for probe in sorted(probes):
+            assert leaf.bisect(probe) == bisect_left(keys, probe), probe
+            assert leaf.bisect(probe, right=True) == bisect_right(keys, probe), probe
+
+    def test_bulk_loaded_keyword_runs_store_the_keyword_once(self, tree):
+        keys = [b"keyword\x00%05d" % i for i in range(200)]
+        tree.bulk_load((key, b"") for key in keys)
+        leaves = [tree._read_node(pid) for pid in tree.leaf_page_ids()]
+        assert all(leaf.prefix.startswith(b"keyword\x00") for leaf in leaves)
+        assert [key for key, _ in tree.scan()] == keys
+
+    def test_edits_that_move_the_prefix_repack_the_leaf(self, tree):
+        def prefix():
+            return tree._read_node(tree._root_pid).prefix
+
+        tree.insert(b"kw\x00\x05\x01", b"")
+        assert prefix() == b"kw\x00\x05\x01"
+        tree.insert(b"kw\x00\x05\x03", b"")
+        assert prefix() == b"kw\x00\x05"
+        tree.insert(b"kw\x00\x09", b"")
+        tree.insert(b"kv", b"")
+        assert prefix() == b"k"
+        assert tree.delete(b"kv")  # the first entry: the prefix grows back
+        assert prefix() == b"kw\x00"
+        assert tree.delete(b"kw\x00\x09")  # the last one
+        assert prefix() == b"kw\x00\x05"
+        assert [key for key, _ in tree.scan()] == [b"kw\x00\x05\x01", b"kw\x00\x05\x03"]
+
+    def test_split_after_an_insert_outside_a_long_prefix(self, tree):
+        # A full leaf of one long shared prefix, then keys outside it: the
+        # suffixes all grow, and the split must still give two pages that fit.
+        keys = [b"x" * 40 + b"%03d" % i for i in range(40)]
+        tree.bulk_load((key, b"") for key in keys)
+        for key in (b"a", b"z"):
+            tree.insert(key, b"")
+        assert tree.check_invariants() == []
+        assert [key for key, _ in tree.scan()] == [b"a", *keys, b"z"]
 
 
 class TestPersistenceAndSharing:

@@ -3,7 +3,10 @@
 Hypothesis drives random interleavings of insert / overwrite / delete /
 search / floor / ceiling / scan against a plain dict+sorted-list model;
 any divergence (including after node splits and emptied leaves) fails with
-a minimized command sequence.  ``internal_page_ids`` — which stops above
+a minimized command sequence.  Half the keys are IL-shaped, ``keyword ⊕
+NUL ⊕ suffix`` over two keywords one of which prefixes the other, so leaf
+runs span a keyword boundary and edits shrink and regrow the prefix each
+leaf stores once.  ``internal_page_ids`` — which stops above
 the leaf level on the strength of the tree being balanced — is held to a
 walk that decodes every node.
 """
@@ -19,7 +22,13 @@ from repro.storage.bptree import BPlusTree, _LeafNode
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
 
-keys_st = st.binary(min_size=1, max_size=6)
+keyword_keys_st = st.builds(
+    lambda keyword, suffix: keyword + b"\x00" + suffix,
+    st.sampled_from([b"xk", b"xkb"]),
+    st.binary(max_size=3),
+)
+keys_st = st.one_of(st.binary(min_size=1, max_size=6), keyword_keys_st)
+probes_st = st.one_of(st.binary(max_size=7), keyword_keys_st)
 values_st = st.binary(max_size=5)
 
 
@@ -64,7 +73,7 @@ class BPlusTreeMachine(RuleBasedStateMachine):
     def search(self, key):
         assert self.tree.search(key) == self.model.get(key)
 
-    @rule(probe=st.binary(max_size=7))
+    @rule(probe=probes_st)
     def floor(self, probe):
         ordered = sorted(self.model)
         i = bisect.bisect_right(ordered, probe)
@@ -72,7 +81,7 @@ class BPlusTreeMachine(RuleBasedStateMachine):
         got = self.tree.floor_entry(probe)
         assert (got[0] if got else None) == expected
 
-    @rule(probe=st.binary(max_size=7))
+    @rule(probe=probes_st)
     def ceiling(self, probe):
         ordered = sorted(self.model)
         i = bisect.bisect_left(ordered, probe)
