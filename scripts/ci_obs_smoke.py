@@ -8,9 +8,11 @@ search API, then asserts that:
   accepts, and that the core metric families (server, engine, cache,
   buffer pool, pager, B+tree) are all present — with band/algorithm
   labels and an exemplar on the execution histogram;
-* a server run with a JSONL trace exporter attached exports exactly the
-  traces it served: every exported trace id matches an ``X-Trace-Id``
-  response header (the artifact is kept via ``--trace-out`` for upload);
+* ``xksearch serve --export-jsonl FILE`` writes exactly the traces it
+  served: the trace ids in FILE are the ``X-Trace-Id`` response headers,
+  ``xks_export_sent_total`` equals FILE's line count and
+  ``xks_export_dropped_total`` is 0 (FILE is kept via ``--trace-out`` for
+  upload);
 * one CLI ``search --explain`` invocation prints the answer line plus a
   valid JSON profile with phases, counters and an algorithm;
 * a server backed by a 2-process worker pool returns answers identical
@@ -43,14 +45,16 @@ import json
 import os
 import re
 import shutil
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
+import time
 import urllib.parse
 import urllib.request
 
-from repro.obs.export import JsonlFileSink, TraceExporter
-from repro.obs.tracing import Tracer
+import repro
 from repro.xksearch.cache import QueryCache
 from repro.xksearch.cli import main as cli_main
 from repro.xksearch.server import ServerMetrics, make_server
@@ -145,50 +149,68 @@ def check_metrics_endpoint(index_dir: str) -> None:
     )
 
 
+def _export_counts(base: str) -> tuple:
+    """``(sent, dropped)`` trace-file writes, read from ``/metrics``."""
+    sent = dropped = 0.0
+    with urllib.request.urlopen(f"{base}/metrics", timeout=10) as resp:
+        for line in resp.read().decode("utf-8").splitlines():
+            if line.startswith("xks_export_sent_total{"):
+                sent += float(line.rsplit(" ", 1)[1])
+            elif line.startswith("xks_export_dropped_total{"):
+                dropped += float(line.rsplit(" ", 1)[1])
+    return int(sent), int(dropped)
+
+
 def check_export_pipeline(index_dir: str, trace_out: str = None) -> None:
-    """Serve with a JSONL trace exporter; exported ids must match served ids."""
-    trace_path = os.path.join(index_dir, "..", "traces.jsonl")
-    exporter = TraceExporter(JsonlFileSink(trace_path), flush_interval=0.05)
-    served_ids = []
-    with XKSearch.open(index_dir, cache=QueryCache()) as system:
-        server = make_server(
-            system,
-            port=0,
-            metrics=ServerMetrics(),
-            tracer=Tracer(sample_rate=1.0),
-            exporter=exporter,
+    """``xksearch serve --export-jsonl``: the file holds exactly the served
+    traces, one line each, and ``/metrics`` counts every line sent."""
+    tmp = os.path.dirname(index_dir)
+    trace_path = os.path.join(tmp, "traces.jsonl")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_dir, PYTHONUNBUFFERED="1")
+    with open(os.path.join(tmp, "export_server.err"), "w") as err:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.xksearch.cli", "serve", index_dir,
+             "--port", "0", "--trace-sample", "1.0", "--export-jsonl", trace_path],
+            env=env, stdout=subprocess.PIPE, stderr=err, text=True,
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address
-        base = f"http://{host}:{port}"
-        try:
-            for i, query in enumerate(("John+Ben", "class+smith", "John+Smith")):
-                request = urllib.request.Request(
-                    f"{base}/api/search?q={query}",
-                    headers={"X-Trace-Id": f"{i:016x}"},
-                )
-                with urllib.request.urlopen(request, timeout=10) as resp:
-                    json.loads(resp.read())
-                    served_ids.append(resp.headers["X-Trace-Id"])
-        finally:
-            server.shutdown()
-            server.server_close()  # closes the exporter (flush-on-shutdown)
-            thread.join(timeout=5)
+    served_ids = []
+    try:
+        match = None
+        for line in process.stdout:  # "XKSearch demo at http://host:port/ ..."
+            match = re.search(r"http://([\d.]+):(\d+)/", line)
+            if match:
+                break
+        assert match, "export server did not start"
+        base = f"http://{match.group(1)}:{match.group(2)}"
+        for query in ("John+Ben", "class+smith", "John+Smith", "John+Ben"):
+            with urllib.request.urlopen(f"{base}/api/search?q={query}", timeout=10) as resp:
+                json.loads(resp.read())
+                served_ids.append(resp.headers["X-Trace-Id"])
+        # Each trace is written after its response: wait for the last one.
+        deadline = time.monotonic() + 10.0
+        sent, dropped = _export_counts(base)
+        while sent + dropped < len(served_ids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+            sent, dropped = _export_counts(base)
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30)
+        process.stdout.close()
 
     with open(trace_path, encoding="utf-8") as fh:
-        exported = [json.loads(line) for line in fh]
-    exported_ids = [record["trace_id"] for record in exported]
-    assert sorted(exported_ids) == sorted(served_ids), (
+        exported_ids = [json.loads(line)["trace_id"] for line in fh]
+    assert len(set(served_ids)) == len(served_ids), served_ids
+    assert set(exported_ids) == set(served_ids), (
         f"exported {exported_ids} != served {served_ids}"
     )
-    stats = exporter.stats.as_dict()
-    assert stats["submitted"] == stats["sent"] + stats["dropped_total"], stats
-    assert all(record["kind"] == "trace" for record in exported)
+    assert sent == len(exported_ids), (sent, len(exported_ids))
+    assert dropped == 0, dropped
     if trace_out:
         shutil.copyfile(trace_path, trace_out)
     print(
-        f"export OK: {len(exported)} traces exported, ids match X-Trace-Id headers"
+        f"export OK: {len(exported_ids)} trace lines, ids match X-Trace-Id headers, "
+        f"xks_export_sent_total={sent}, dropped={dropped}"
         + (f", artifact at {trace_out}" if trace_out else "")
     )
 

@@ -23,15 +23,6 @@ Logging is **off by default** — ``src/`` emits nothing until either
 Built on the stdlib ``logging`` package under the ``"repro"`` namespace
 (``propagate`` off, ``NullHandler`` by default), so applications embedding
 the library can install their own handlers instead.
-
-**Adaptive sampling** (:func:`set_log_sampling`): under load, per-
-``(component, event)`` token buckets head-sample DEBUG/INFO lines — each
-stream gets ``rate`` lines per second with a ``burst`` allowance, and the
-rest are dropped *with exact accounting* (``xks_log_sampled_total{event}``
-via a scrape-time collector, so the count survives the instrumentation
-kill switch).  WARN+ lines and lines emitted inside a traced request
-(:func:`current_trace_id` bound) always pass: alerts and sampled traces
-stay complete, only the high-volume steady-state chatter thins out.
 """
 
 from __future__ import annotations
@@ -192,123 +183,6 @@ def _auto_configure() -> None:
         configure_logging(force=False)
 
 
-# -- adaptive sampling --------------------------------------------------------
-
-
-class _TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, capacity ``burst``."""
-
-    __slots__ = ("rate", "burst", "tokens", "last")
-
-    def __init__(self, rate: float, burst: float, now: float):
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.last = now
-
-    def allow(self, now: float) -> bool:
-        elapsed = now - self.last
-        if elapsed > 0:
-            self.tokens = min(self.burst, self.tokens + elapsed * self.rate)
-            self.last = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-
-class LogSampler:
-    """Per-``(component, event)`` head sampling with exact drop counts.
-
-    One bucket per stream, created on first sight; drops are counted per
-    event name in plain integers (no registry dependency on the emit
-    path) and exposed lazily as ``xks_log_sampled_total{event}`` through
-    a scrape-time collector, so the accounting is exact even while the
-    instrumentation kill switch is off.
-    """
-
-    def __init__(self, rate: float, burst: Optional[float] = None):
-        if rate <= 0:
-            raise ValueError("sampling rate must be positive (or disable sampling)")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(1.0, 2.0 * rate)
-        self._lock = threading.Lock()
-        self._buckets: "dict[tuple[str, str], _TokenBucket]" = {}
-        self._dropped: "dict[str, int]" = {}
-
-    def allow(self, component: str, event: str) -> bool:
-        now = time.monotonic()
-        key = (component, event)
-        with self._lock:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = _TokenBucket(self.rate, self.burst, now)
-                self._buckets[key] = bucket
-            if bucket.allow(now):
-                return True
-            self._dropped[event] = self._dropped.get(event, 0) + 1
-            return False
-
-    def dropped(self) -> "dict[str, int]":
-        with self._lock:
-            return dict(self._dropped)
-
-    @property
-    def dropped_total(self) -> int:
-        with self._lock:
-            return sum(self._dropped.values())
-
-
-_sampler: Optional[LogSampler] = None
-_sampler_collector_registered = False
-
-
-def _sampler_samples():
-    """Scrape-time collector: exact per-event drop counts."""
-    sampler = _sampler
-    if sampler is None:
-        return []
-    from repro.obs.metrics import Sample  # late: logging must not need metrics
-
-    return [
-        Sample(
-            "xks_log_sampled_total",
-            count,
-            {"event": event},
-            kind="counter",
-            help="Log lines dropped by adaptive sampling, by event.",
-        )
-        for event, count in sorted(sampler.dropped().items())
-    ]
-
-
-def set_log_sampling(
-    rate: Optional[float], burst: Optional[float] = None
-) -> Optional[LogSampler]:
-    """Enable (or disable) adaptive log sampling process-wide.
-
-    ``rate`` is lines/second allowed per ``(component, event)`` stream
-    (burst defaults to ``max(1, 2×rate)``); ``None`` or ``<= 0`` disables
-    sampling.  Returns the installed sampler (None when disabled).
-    Wired to ``serve --log-sample RATE``.
-    """
-    global _sampler, _sampler_collector_registered
-    if rate is None or rate <= 0:
-        _sampler = None
-        return None
-    _sampler = LogSampler(rate, burst)
-    if not _sampler_collector_registered:
-        from repro.obs.metrics import get_registry
-
-        get_registry().register_collector(_sampler_samples)
-        _sampler_collector_registered = True
-    return _sampler
-
-
-def get_log_sampler() -> Optional[LogSampler]:
-    return _sampler
-
-
 class ComponentLogger:
     """A named source of structured events (``get_logger("engine")``).
 
@@ -332,18 +206,6 @@ class ComponentLogger:
     def _emit(self, level: int, event: str, fields: dict) -> None:
         _auto_configure()
         if not self._logger.isEnabledFor(level):
-            return
-        # Adaptive sampling: only DEBUG/INFO chatter outside a traced
-        # request is eligible — WARN+ and trace-correlated lines always
-        # pass (the sampler check runs after isEnabledFor, so disabled
-        # levels never consume tokens or count as drops).
-        sampler = _sampler
-        if (
-            sampler is not None
-            and level < logging.WARNING
-            and current_trace_id() is None
-            and not sampler.allow(self.component, event)
-        ):
             return
         self._logger.log(
             level,

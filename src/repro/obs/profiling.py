@@ -1,21 +1,14 @@
-"""Continuous profiling: thread-sampling CPU profiles + tracemalloc heaps.
+"""Continuous profiling: thread-sampling CPU profiles.
 
-Two complementary always-on-capable profilers, both cheap enough to run
-in production and both per-process (they see the serving process only,
-never the pool workers):
-
-* :class:`SamplingProfiler` — a daemon thread wakes ``hz`` times per
-  second, walks ``sys._current_frames()`` and folds each thread's stack
-  into the standard flamegraph *collapsed* format
-  (``root;caller;callee count``).  Counts are cumulative; a trailing
-  window is just two snapshots diffed, which is what
-  ``GET /debug/pprof?seconds=N`` serves.  Every tick honors the
-  instrumentation kill switch, so ``set_instrumentation_enabled(False)``
-  stops the cost without tearing the thread down.
-* ``tracemalloc``-backed heap snapshots (:func:`heap_snapshot`) with
-  explicit :func:`start_heap_tracking` / :func:`stop_heap_tracking` —
-  tracking is off by default because tracemalloc taxes every allocation;
-  ``GET /debug/heap`` toggles and reads it.
+:class:`SamplingProfiler` is cheap enough to run in production and sees
+the serving process only, never the pool workers: a daemon thread wakes
+``hz`` times per second, walks ``sys._current_frames()`` and folds each
+thread's stack into the standard flamegraph *collapsed* format
+(``root;caller;callee count``).  Counts are cumulative; a trailing window
+is just two snapshots diffed, which is what ``GET /debug/pprof?seconds=N``
+serves.  Every tick honors the instrumentation kill switch, so
+``set_instrumentation_enabled(False)`` stops the cost without tearing the
+thread down.
 """
 
 from __future__ import annotations
@@ -23,7 +16,6 @@ from __future__ import annotations
 import sys
 import threading
 import time
-import tracemalloc
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry, get_registry, instrumentation_enabled
@@ -189,51 +181,3 @@ class SamplingProfiler:
                 window[stack] = delta
         return window
 
-
-# -- heap snapshots ----------------------------------------------------------
-
-
-def heap_tracking_active() -> bool:
-    return tracemalloc.is_tracing()
-
-
-def start_heap_tracking(nframes: int = 1) -> bool:
-    """Begin tracemalloc tracking (idempotent).  Returns whether tracking
-    is active afterwards.  Off by default: tracemalloc intercepts every
-    allocation, so it is opt-in per process."""
-    if not tracemalloc.is_tracing():
-        tracemalloc.start(max(1, int(nframes)))
-    return tracemalloc.is_tracing()
-
-
-def stop_heap_tracking() -> bool:
-    """Stop tracemalloc tracking (idempotent).  Returns whether tracking
-    was active before the call."""
-    was_tracing = tracemalloc.is_tracing()
-    if was_tracing:
-        tracemalloc.stop()
-    return was_tracing
-
-
-def heap_snapshot(top: int = 30) -> dict:
-    """Current heap state: traced totals plus the *top* allocation sites
-    by live size.  ``{"tracing": False}`` when tracking is off — callers
-    (the ``/debug/heap`` handler) surface how to turn it on."""
-    if not tracemalloc.is_tracing():
-        return {"tracing": False, "top": []}
-    current, peak = tracemalloc.get_traced_memory()
-    snapshot = tracemalloc.take_snapshot()
-    stats = snapshot.statistics("lineno")[: max(0, int(top))]
-    return {
-        "tracing": True,
-        "current_kb": round(current / 1024.0, 1),
-        "peak_kb": round(peak / 1024.0, 1),
-        "top": [
-            {
-                "site": f"{stat.traceback[0].filename}:{stat.traceback[0].lineno}",
-                "size_kb": round(stat.size / 1024.0, 1),
-                "count": stat.count,
-            }
-            for stat in stats
-        ],
-    }

@@ -38,7 +38,7 @@ from repro.errors import DeadlineExceeded
 CHECK_STRIDE = 256
 
 _current: "ContextVar[Optional[Deadline]]" = ContextVar(
-    "xks_deadline", default=None
+    "repro_deadline", default=None
 )
 
 

@@ -36,7 +36,7 @@ Points
 kill-worker     pool worker calls ``os._exit`` instead of executing a task
 delay-io        storage read paths sleep ``ms`` before returning
 corrupt-block   a segment posting block's bytes are bit-flipped before decode
-fail-export     the export sink raises instead of delivering a batch
+fail-export     the trace-file write raises instead of appending the trace
 expired-deadline a request's deadline is already expired at admission
 ============== ==============================================================
 

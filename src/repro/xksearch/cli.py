@@ -155,9 +155,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.xksearch.server import serve
 
-    if args.export_jsonl and args.export_url:
-        print("error: choose one of --export-jsonl / --export-url", file=sys.stderr)
-        return 2
     serve(
         args.index_dir,
         host=args.host,
@@ -167,11 +164,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_ms=args.slow_ms,
         trace_sample=args.trace_sample,
         export_jsonl=args.export_jsonl,
-        export_url=args.export_url,
-        export_timeout=args.export_timeout,
         log_json=args.log_json,
         log_level=args.log_level,
-        log_sample=args.log_sample,
         workers_proc=args.workers_proc,
         use_segments=not args.no_segments,
         profile_hz=args.profile_hz,
@@ -304,12 +298,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="append finished request traces to FILE as JSON lines",
     )
     p_serve.add_argument(
-        "--export-url",
-        default=None,
-        metavar="URL",
-        help="POST finished request traces to an HTTP collector at URL",
-    )
-    p_serve.add_argument(
         "--no-segments",
         action="store_true",
         help="disable the packed posting-segment fast path; every keyword "
@@ -325,22 +313,6 @@ def make_parser() -> argparse.ArgumentParser:
         choices=("debug", "info", "warning", "error"),
         default=None,
         help="log level (default: REPRO_LOG_LEVEL, else info)",
-    )
-    p_serve.add_argument(
-        "--log-sample",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="head-sample DEBUG/INFO logs to RATE lines/s per "
-        "(component, event) stream; WARN+ and traced requests always "
-        "pass, drops are counted in xks_log_sampled_total",
-    )
-    p_serve.add_argument(
-        "--export-timeout",
-        type=float,
-        default=5.0,
-        metavar="SECS",
-        help="connect/read timeout for --export-url POSTs (default 5s)",
     )
     p_serve.add_argument(
         "--profile-hz",
@@ -406,7 +378,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="SECS",
         help="on SIGTERM, wait up to SECS for in-flight requests before "
-        "closing exporters and the pool (default 5)",
+        "closing the trace file and the pool (default 5)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -39,7 +39,7 @@ Serving-layer features (beyond the paper's demo):
   An :class:`~repro.robustness.admission.AdmissionGate` sheds work with
   429 + ``Retry-After`` at in-flight/latency watermarks (cheap |S1|
   bands are admitted preferentially), and SIGTERM drains in-flight
-  requests before the exporters flush and the pool closes.
+  requests before the trace file and the pool close.
 
 Endpoints:
 
@@ -57,17 +57,13 @@ Endpoints:
   flamegraph stacks of this process (``serve --profile-hz``): cumulative,
   or only the next N seconds; ``format=folded`` returns collapsed text
   for ``flamegraph.pl``;
-* ``GET /debug/heap[?start=1|stop=1][&top=N]`` — tracemalloc heap
-  snapshot (top allocation sites by live size) with explicit start/stop
-  of tracking;
 * ``GET /healthz`` — liveness (plain text).
 
-With an exporter attached (``serve --export-jsonl FILE`` or
-``--export-url URL``) every finished request trace is enqueued to a
-background flusher; delivery failures retry with backoff and are
-eventually dropped and counted — the request path never blocks on the
-collector.  ``--log-json`` (or ``REPRO_LOG_LEVEL``) turns on structured
-logs correlated to ``X-Trace-Id`` (see :mod:`repro.obs.logging`).  SLOs
+With ``serve --export-jsonl FILE`` every finished request trace is
+appended to FILE as one JSON line, after the response is written; a
+failed write is logged and counted, never seen by the request.
+``--log-json`` (or ``REPRO_LOG_LEVEL``) turns on structured logs
+correlated to ``X-Trace-Id`` (see :mod:`repro.obs.logging`).  SLOs
 are evaluated outside the process, by Prometheus over ``/metrics``, with
 the rules committed in ``docs/slo_rules.yml``.
 """
@@ -89,18 +85,12 @@ from repro.errors import DeadlineExceeded, ReproError
 from repro.robustness import faultinject
 from repro.robustness.admission import AdmissionGate
 from repro.robustness.deadline import Deadline, bind_deadline
-from repro.obs.export import (
-    DEFAULT_HTTP_TIMEOUT,
-    HttpCollectorSink,
-    JsonlFileSink,
-    TraceExporter,
-)
+from repro.obs.export import TraceFile
 from repro.obs.logging import (
     configure_logging,
     get_logger,
     reset_current_trace_id,
     set_current_trace_id,
-    set_log_sampling,
 )
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -108,14 +98,7 @@ from repro.obs.metrics import (
     exponential_buckets,
     get_registry,
 )
-from repro.obs.profiling import (
-    SamplingProfiler,
-    heap_snapshot,
-    heap_tracking_active,
-    render_folded,
-    start_heap_tracking,
-    stop_heap_tracking,
-)
+from repro.obs.profiling import SamplingProfiler, render_folded
 from repro.obs.tracing import (
     Span,
     Trace,
@@ -148,7 +131,6 @@ _KNOWN_ENDPOINTS = (
     "/metrics",
     "/debug/slow",
     "/debug/pprof",
-    "/debug/heap",
     "/healthz",
 )
 
@@ -382,7 +364,7 @@ class _Handler(BaseHTTPRequestHandler):
     metrics: ServerMetrics = None
     tracer: Tracer = None
     registry: MetricsRegistry = None
-    exporter: Optional[TraceExporter] = None
+    exporter: Optional[TraceFile] = None
     profiler: Optional[SamplingProfiler] = None
     gate: Optional[AdmissionGate] = None
     default_timeout_ms: Optional[float] = None
@@ -493,8 +475,6 @@ class _Handler(BaseHTTPRequestHandler):
             return self._handle_debug_slow(url)
         elif url.path == "/debug/pprof":
             return self._handle_debug_pprof(url)
-        elif url.path == "/debug/heap":
-            return self._handle_debug_heap(url)
         elif url.path == "/":
             self._send(200, render_page("", []))
         elif url.path == "/search":
@@ -579,9 +559,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self.tracer is not None and self._slow_entry is not None:
             self.tracer.note(elapsed_ms, self._slow_entry, self._trace)
         if self.exporter is not None and self._trace is not None:
-            # Non-blocking: a full queue or a dead collector drops the span
-            # (counted in xks_export_dropped_total), never the request.
-            self.exporter.export_trace(self._trace)
+            # The response is already written: a failed write is counted
+            # in xks_export_dropped_total and never reaches the client.
+            self.exporter.write(self._trace)
         if _log.enabled_for("info"):
             _log.info(
                 "request",
@@ -856,32 +836,6 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return False
 
-    def _handle_debug_heap(self, url) -> bool:
-        """tracemalloc heap snapshot; ``?start=1`` / ``?stop=1`` toggle
-        tracking (it costs memory and time, so it is explicit), ``?top=N``
-        bounds the allocation-site list."""
-        params = parse_qs(url.query)
-        top_raw = (params.get("top") or [""])[0]
-        top = 30
-        if top_raw:
-            try:
-                top = int(top_raw)
-                if top < 1:
-                    raise ValueError
-            except ValueError:
-                self._send_json(400, {"error": f"bad top {top_raw!r}"})
-                return True
-        if (params.get("start") or [""])[0].lower() in ("1", "true", "yes"):
-            start_heap_tracking()
-        elif (params.get("stop") or [""])[0].lower() in ("1", "true", "yes"):
-            stop_heap_tracking()
-        payload = {
-            "tracking": heap_tracking_active(),
-            "parent": heap_snapshot(top=top),
-        }
-        self._send_json(200, payload)
-        return False
-
     # -- plumbing ------------------------------------------------------------
 
     def _send(
@@ -946,7 +900,7 @@ class XKSearchServer(ThreadingHTTPServer):
         self._slots = threading.BoundedSemaphore(max_workers)
         self._obs_registry: Optional[MetricsRegistry] = None
         self._obs_collector = None
-        self._obs_exporter: Optional[TraceExporter] = None
+        self._obs_exporter: Optional[TraceFile] = None
         self._obs_profiler: Optional[SamplingProfiler] = None
 
     def process_request_thread(self, request, client_address):
@@ -985,8 +939,6 @@ class XKSearchServer(ThreadingHTTPServer):
             self._obs_registry.unregister_collector(self._obs_collector)
             self._obs_collector = None
         if self._obs_exporter is not None:
-            # Flush-on-shutdown: drain whatever the queue still holds,
-            # then account the rest as dropped (reason="shutdown").
             self._obs_exporter.close()
             self._obs_exporter = None
         super().server_close()
@@ -1001,7 +953,7 @@ def make_server(
     metrics: Optional[ServerMetrics] = None,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
-    exporter: Optional[TraceExporter] = None,
+    exporter: Optional[TraceFile] = None,
     profiler: Optional[SamplingProfiler] = None,
     gate: Optional[AdmissionGate] = None,
     default_timeout_ms: Optional[float] = None,
@@ -1013,8 +965,8 @@ def make_server(
     The system's component stats (buffer pool, pager, caches) are
     registered as a collector on *registry* (default: the process-global
     one) for the lifetime of the server; ``server_close`` unregisters it.
-    An *exporter* receives every finished request trace (asynchronously —
-    the request path only enqueues) and is closed with the server, as
+    An *exporter* receives every finished request trace (written by the
+    request thread after its response) and is closed with the server, as
     is a *profiler*.  A *gate* sheds search
     requests at its watermarks (429 + Retry-After) and tracks the
     in-flight count ``drain`` waits on;
@@ -1058,11 +1010,8 @@ def serve(
     slow_ms: float = 100.0,
     trace_sample: float = 0.0,
     export_jsonl: Optional[str] = None,
-    export_url: Optional[str] = None,
-    export_timeout: float = DEFAULT_HTTP_TIMEOUT,
     log_json: bool = False,
     log_level: Optional[str] = None,
-    log_sample: Optional[float] = None,
     workers_proc: int = 0,
     use_segments: bool = True,
     profile_hz: float = 0.0,
@@ -1076,14 +1025,11 @@ def serve(
 ) -> None:
     """Blocking entry point used by ``xksearch serve``.
 
-    ``export_jsonl``/``export_url`` (mutually exclusive) attach a trace
-    exporter writing finished request traces to a JSONL file or POSTing
-    them to a collector (``export_timeout`` bounds each POST).
+    ``export_jsonl`` appends every finished request trace to that file
+    as one JSON line (:class:`~repro.obs.export.TraceFile`).
     ``log_json`` switches structured logs on in JSON mode; ``log_level``
     (or ``REPRO_LOG_LEVEL``) sets the level, in text mode unless
-    ``log_json`` is also given; ``log_sample`` rate-limits DEBUG/INFO
-    chatter per (component, event) stream (WARN+ and traced requests
-    always pass — see :func:`repro.obs.logging.set_log_sampling`).
+    ``log_json`` is also given.
 
     ``workers_proc > 0`` adds a pool of that many **worker processes**
     executing cache-miss queries over mmap'd read-only index handles;
@@ -1096,8 +1042,7 @@ def serve(
     posting tier (byte-identical answers; for A/B comparison).
 
     ``profile_hz > 0`` starts the sampling profiler in this (the parent)
-    process, feeding ``GET /debug/pprof``; heap snapshots live at
-    ``GET /debug/heap``.
+    process, feeding ``GET /debug/pprof``.
 
     **Robustness** (docs/ROBUSTNESS.md): ``default_timeout_ms`` deadlines
     every search request that does not carry ``X-Deadline-Ms`` /
@@ -1110,8 +1055,6 @@ def serve(
     the environment *before* the pool forks, so workers inherit them);
     SIGTERM triggers a graceful drain bounded by ``drain_timeout_s``.
     """
-    if export_jsonl and export_url:
-        raise ValueError("choose one of export_jsonl / export_url, not both")
     if inject_faults:
         # Must precede pool creation: workers inherit the spec via the
         # environment across fork.
@@ -1119,17 +1062,9 @@ def serve(
         _log.warning("faults_armed", spec=plan.describe())
     if log_json or log_level is not None:
         configure_logging(level=log_level, json_mode=log_json)
-    if log_sample is not None:
-        set_log_sampling(log_sample)
     cache = QueryCache(result_capacity=cache_size) if cache_size > 0 else None
     tracer = Tracer(sample_rate=trace_sample, slow_threshold_ms=slow_ms)
-    exporter: Optional[TraceExporter] = None
-    if export_jsonl:
-        exporter = TraceExporter(JsonlFileSink(export_jsonl))
-    elif export_url:
-        exporter = TraceExporter(
-            HttpCollectorSink(export_url, timeout=export_timeout)
-        )
+    exporter = TraceFile(export_jsonl) if export_jsonl else None
     pool = None
     if workers_proc > 0:
         from repro.errors import PoolError
@@ -1184,7 +1119,7 @@ def serve(
             # thread — shutdown() deadlocks when called from serve_forever's
             # own thread, and a signal handler runs on the main thread),
             # then the normal shutdown path below drains in-flight work
-            # before the exporter flushes and the pool closes.
+            # before the trace file and the pool close.
             def _on_sigterm(signum, frame):  # noqa: ARG001 (signal ABI)
                 _log.warning("sigterm_draining")
                 threading.Thread(
@@ -1200,7 +1135,7 @@ def serve(
             actual_port = server.server_address[1]
             export_note = ""
             if exporter is not None:
-                export_note = f", exporting traces to {exporter.sink.describe()}"
+                export_note = f", exporting traces to {exporter.path}"
             pool_note = f", {pool.size} proc workers" if pool is not None else ""
             profile_note = (
                 f", profiler at /debug/pprof ({profile_hz:g} Hz)"
@@ -1224,7 +1159,7 @@ def serve(
                 leftover = server.drain(drain_timeout_s)
                 if leftover:
                     _log.warning("drain_timeout", inflight=leftover)
-                # server_close flushes the exporter; the outer finally
+                # server_close closes the trace file; the outer finally
                 # closes the pool after.
                 server.server_close()
     finally:

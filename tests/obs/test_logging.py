@@ -14,18 +14,15 @@ import pytest
 from repro.obs.logging import (
     LOG_LEVEL_ENV,
     JsonLogFormatter,
-    LogSampler,
     TextLogFormatter,
     configure_logging,
     current_trace_id,
     get_logger,
-    get_log_sampler,
     logging_configured,
     parse_level,
     reset_current_trace_id,
     reset_logging,
     set_current_trace_id,
-    set_log_sampling,
 )
 
 
@@ -175,95 +172,3 @@ class TestFormatters:
             )
         )
         assert "trace_id=aaaabbbbccccdddd" in line
-
-
-class TestSampling:
-    """Token-bucket adaptive sampling: lossy only where it is safe to be."""
-
-    @pytest.fixture(autouse=True)
-    def clean_sampler(self):
-        set_log_sampling(None)
-        yield
-        set_log_sampling(None)
-
-    def test_burst_then_deny_with_exact_drop_counts(self):
-        # A tiny rate means no measurable refill during the test: the
-        # bucket passes exactly `burst` lines, then denies.
-        sampler = LogSampler(rate=0.0001, burst=2)
-        allowed = [sampler.allow("engine", "hot") for _ in range(10)]
-        assert allowed == [True, True] + [False] * 8
-        assert sampler.dropped() == {"hot": 8}
-        assert sampler.dropped_total == 8
-
-    def test_streams_have_independent_buckets(self):
-        sampler = LogSampler(rate=0.0001, burst=1)
-        assert sampler.allow("engine", "a")
-        assert not sampler.allow("engine", "a")
-        assert sampler.allow("engine", "b")  # different event, fresh bucket
-        assert sampler.allow("cache", "a")  # different component, fresh bucket
-
-    def test_burst_defaults_to_twice_rate_with_floor_of_one(self):
-        assert LogSampler(rate=5.0).burst == 10.0
-        assert LogSampler(rate=0.1).burst == 1.0
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            LogSampler(rate=0.0)
-
-    def test_set_log_sampling_installs_and_disables(self):
-        sampler = set_log_sampling(3.0)
-        assert get_log_sampler() is sampler
-        assert sampler.rate == 3.0
-        assert set_log_sampling(None) is None
-        assert get_log_sampler() is None
-        assert set_log_sampling(-1) is None  # non-positive also disables
-
-    def test_info_chatter_is_sampled(self):
-        stream = capture()
-        set_log_sampling(0.0001, burst=2)
-        log = get_logger("engine")
-        for _ in range(10):
-            log.info("hot_event")
-        assert len(lines(stream)) == 2
-        assert get_log_sampler().dropped() == {"hot_event": 8}
-
-    def test_warnings_bypass_sampling(self):
-        stream = capture()
-        set_log_sampling(0.0001, burst=1)
-        log = get_logger("engine")
-        for _ in range(5):
-            log.warning("always_kept")
-        assert len(lines(stream)) == 5
-        assert get_log_sampler().dropped_total == 0
-
-    def test_traced_requests_bypass_sampling(self):
-        stream = capture()
-        set_log_sampling(0.0001, burst=1)
-        log = get_logger("engine")
-        token = set_current_trace_id("aaaabbbbccccdddd")
-        try:
-            for _ in range(5):
-                log.info("traced_event")
-        finally:
-            reset_current_trace_id(token)
-        assert len(lines(stream)) == 5
-        assert get_log_sampler().dropped_total == 0
-
-    def test_disabled_levels_never_consume_tokens(self):
-        capture(level="warning")
-        set_log_sampling(0.0001, burst=1)
-        log = get_logger("engine")
-        for _ in range(5):
-            log.info("below_threshold")  # suppressed before the sampler
-        assert get_log_sampler().dropped_total == 0
-
-    def test_drop_counts_exposed_via_registry_collector(self):
-        from repro.obs.metrics import get_registry
-
-        capture()
-        set_log_sampling(0.0001, burst=1)
-        log = get_logger("engine")
-        for _ in range(4):
-            log.info("scraped_event")
-        rendered = get_registry().render()
-        assert 'xks_log_sampled_total{event="scraped_event"} 3' in rendered

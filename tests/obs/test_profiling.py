@@ -1,4 +1,4 @@
-"""Continuous profiling: sampler, folded stacks, kill switch, heap."""
+"""Continuous profiling: sampler, folded stacks, kill switch."""
 
 import threading
 import time
@@ -13,11 +13,7 @@ from repro.obs.profiling import (
     OVERFLOW_STACK,
     SamplingProfiler,
     _fold_stack,
-    heap_snapshot,
-    heap_tracking_active,
     render_folded,
-    start_heap_tracking,
-    stop_heap_tracking,
 )
 
 
@@ -128,28 +124,3 @@ class TestSamplingProfiler:
     def test_bad_hz_rejected(self):
         with pytest.raises(ValueError):
             SamplingProfiler(hz=0.0)
-
-
-class TestHeap:
-    def test_snapshot_off_by_default(self):
-        stop_heap_tracking()
-        assert not heap_tracking_active()
-        assert heap_snapshot() == {"tracing": False, "top": []}
-
-    def test_start_snapshot_stop(self):
-        assert start_heap_tracking()
-        try:
-            assert heap_tracking_active()
-            ballast = [bytearray(4096) for _ in range(64)]  # noqa: F841
-            snap = heap_snapshot(top=5)
-            assert snap["tracing"] is True
-            assert snap["current_kb"] > 0
-            assert snap["peak_kb"] >= snap["current_kb"]
-            assert len(snap["top"]) <= 5
-            for site in snap["top"]:
-                assert ":" in site["site"]
-                assert site["size_kb"] >= 0
-        finally:
-            assert stop_heap_tracking()
-        assert not heap_tracking_active()
-        assert stop_heap_tracking() is False  # idempotent
