@@ -429,11 +429,16 @@ def check_cli_explain(index_dir: str) -> None:
     assert lines and "SLCA answer(s)" in lines[0], lines[:1]
     profile = json.loads("\n".join(lines[1:]))
     assert profile["algorithm"] in ("il", "scan", "stack")
-    assert [phase["name"] for phase in profile["phases"]]
+    # The CLI opens the index without a result cache.
+    phases = [phase["name"] for phase in profile["phases"]]
+    assert phases == ["parse", "plan", "execute"], phases
+    assert set(profile["io"]) == {
+        "page_reads", "sequential_reads", "random_reads", "pool_hits", "pool_misses",
+    }, profile["io"]
     assert profile["counters"]["lca_ops"] >= 0
     print(
         f"--explain OK: {lines[0]} "
-        f"(phases: {[phase['name'] for phase in profile['phases']]})"
+        f"(phases: {phases})"
     )
 
 

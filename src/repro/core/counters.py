@@ -41,27 +41,37 @@ class OpCounters:
         return self.lm_ops + self.rm_ops
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in _FIELDS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> "OpCounters":
-        return OpCounters(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return OpCounters(**{name: getattr(self, name) for name in _FIELDS})
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
 
     def add(self, other: "OpCounters") -> None:
         """Accumulate *other* into this instance in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.lm_ops += other.lm_ops
+        self.rm_ops += other.rm_ops
+        self.cursor_advances += other.cursor_advances
+        self.cursor_reseeks += other.cursor_reseeks
+        self.lca_ops += other.lca_ops
+        self.nodes_merged += other.nodes_merged
+        self.candidates += other.candidates
+        self.results += other.results
 
     def delta(self, before: "OpCounters") -> "OpCounters":
         """Counters accumulated since the *before* snapshot."""
         return OpCounters(
-            **{f.name: getattr(self, f.name) - getattr(before, f.name) for f in fields(self)}
+            **{name: getattr(self, name) - getattr(before, name) for name in _FIELDS}
         )
 
     def __add__(self, other: "OpCounters") -> "OpCounters":
         return OpCounters(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+            **{name: getattr(self, name) + getattr(other, name) for name in _FIELDS}
         )
+
+
+#: Counter names in declaration order, resolved once instead of per call.
+_FIELDS = tuple(f.name for f in fields(OpCounters))

@@ -1,4 +1,4 @@
-"""Cross-layer observability: metrics, tracing, and query profiling.
+"""Cross-layer observability: metrics, tracing, logs and profiling.
 
 The paper's entire argument is a cost model — match operations, main-memory
 operations, and disk accesses (Table 1, Figures 8-13) — and the layers of
@@ -14,15 +14,15 @@ This package connects them:
   text-format exposition;
 * :mod:`repro.obs.tracing` — span-based query traces with per-request
   trace ids and a bounded slow-query log;
-* :mod:`repro.obs.profile` — the EXPLAIN/profile breakdown
-  (:class:`~repro.obs.profile.QueryProfile`) attached to an execution on
-  request;
 * :mod:`repro.obs.export` — finished request traces appended inline to
   one JSONL file (``serve --export-jsonl``);
 * :mod:`repro.obs.logging` — trace-id-correlated structured JSON logs;
 * :mod:`repro.obs.profiling` — a thread-sampling continuous profiler
   (folded flamegraph stacks at ``GET /debug/pprof``).
 
+One query's cost, EXPLAIN breakdown included, is the engine's
+:class:`~repro.xksearch.engine.ExecutionStats` record; the query metrics,
+the request trace's ``engine`` span and the slow log are projections of it.
 Import from the submodules; this package re-exports nothing, so importing
 one of them does not load the others.  SLOs are not evaluated in-process:
 ``docs/slo_rules.yml`` holds the Prometheus recording and burn-rate alert

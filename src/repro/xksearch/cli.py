@@ -84,8 +84,8 @@ def _search_explain(system: XKSearch, args: argparse.Namespace) -> int:
     """EXPLAIN mode: run the query profiled, print the JSON breakdown.
 
     The answer is computed by the same engine path as a plain search (the
-    profile rides along in ``stats.profile``), so the printed ids are
-    byte-identical to what the non-explain search returns.
+    breakdown is the query's cost record, ``stats``), so the printed ids
+    are byte-identical to what the non-explain search returns.
     """
     import json
 
@@ -99,7 +99,7 @@ def _search_explain(system: XKSearch, args: argparse.Namespace) -> int:
         ids = ids[: args.limit]
     dotted = [".".join(map(str, dewey)) for dewey in ids]
     print(f"{len(dotted)} SLCA answer(s): {dotted}")
-    print(json.dumps(stats.profile.as_dict(), indent=2))
+    print(json.dumps(stats.as_dict(), indent=2))
     return 0
 
 

@@ -22,7 +22,8 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from itertools import islice
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from repro.core import eager_slca, find_all_lcas, stack_elca, stack_slca
 from repro.core.counters import OpCounters
@@ -31,7 +32,6 @@ from repro.index.inverted import DiskKeywordIndex
 from repro.index.memory import MemoryKeywordIndex
 from repro.obs.logging import current_trace_id, get_logger
 from repro.obs.metrics import exponential_buckets, get_registry, instrumentation_enabled
-from repro.obs.profile import QueryProfile, maybe_phase
 from repro.robustness.breaker import CircuitBreaker
 from repro.robustness.deadline import current_deadline
 from repro.xksearch.cache import QueryCache, normalize_key
@@ -46,6 +46,9 @@ ALGORITHMS = ("auto", "il", "scan", "stack")
 #: prefers Indexed Lookup Eager.
 DEFAULT_SKEW_THRESHOLD = 10.0
 
+#: EXPLAIN's ``io`` block: pager and buffer-pool counter movement.
+_IO_KEYS = ("page_reads", "sequential_reads", "random_reads", "pool_hits", "pool_misses")
+
 #: Engine execution-time histogram buckets: 0.01 ms … ~5 s, factor 2.
 _EXEC_BUCKETS_MS = exponential_buckets(0.01, 2.0, 20)
 
@@ -55,6 +58,11 @@ _EXEC_BUCKETS_MS = exponential_buckets(0.01, 2.0, 20)
 FREQUENCY_BANDS = ("0", "1-9", "10-99", "100-999", "1000+")
 
 _log = get_logger("engine")
+
+
+def _check_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise QueryError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
 def frequency_band(frequency: int) -> str:
@@ -165,43 +173,94 @@ class QueryPlan:
         }
 
 
+class Phase(NamedTuple):
+    """One timed step of a query, in the order the engine took it."""
+
+    name: str  # parse, cache_lookup, plan, execute or cache_store
+    ms: float
+    detail: Optional[dict] = None
+
+
 @dataclass
 class ExecutionStats:
-    """What one execution cost.
+    """The one record of what a query cost.
+
+    Every entry point fills it in — plain and EXPLAIN, cache hit and miss,
+    in-thread and pooled, batch — and everything that reports on a query
+    is a projection of it: the ``xks_queries_total`` /
+    ``xks_algo_ops_total`` / ``xks_query_exec_ms`` metrics, the slow log's
+    algorithm, the request trace's ``engine`` span and the EXPLAIN JSON
+    (:meth:`as_dict`).  They cannot disagree: the EXPLAIN ``execute``
+    phase is the very duration the histogram observed.
+
+    ``phases`` are stamped back to back, each starting where the previous
+    one ended, and ``total_ms`` is their sum.  ``plan`` (the plan summary)
+    and ``io`` (pager/pool counter movement) are only filled in by
+    ``execute(..., profile=True)``.
 
     The ``cache_*`` fields are only populated when the engine runs with a
     :class:`~repro.xksearch.cache.QueryCache`: ``cache_hits`` /
-    ``cache_misses`` count this call's result-cache lookups (a plain
-    ``execute`` makes exactly one; ``execute_many`` makes one per distinct
-    query in the batch), ``cache_evictions`` counts entries this call's
-    stores pushed out, and ``result_from_cache`` is true when the answer
-    was served without touching the index at all.
+    ``cache_misses`` count the result-cache lookups (a plain ``execute``
+    makes exactly one; ``execute_many`` makes one per distinct query in
+    the batch), ``cache_evictions`` counts entries the stores pushed out,
+    and ``cache_hit`` is true when the answer was served without touching
+    the index at all.  A hit is stamped with the cached entry's *original*
+    execution counters (merged into :attr:`counters`), so it is
+    distinguishable from a genuinely free query.
     """
 
     counters: OpCounters = field(default_factory=OpCounters)
-    page_reads: int = 0
-    sequential_reads: int = 0
-    random_reads: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    result_from_cache: bool = False
-    #: EXPLAIN breakdown, set by ``execute(..., profile=True)``.
-    profile: Optional[QueryProfile] = None
-    #: Worker-side span trees (plain dicts) returned by pooled executions —
-    #: the serving layer grafts them under the request's trace so traces
-    #: show where the work actually ran.
+    cache_hit: bool = False
+    query: str = ""
+    semantics: str = "slca"
+    algorithm_requested: str = "auto"
+    #: Resolved by planning: "il", "scan" or "stack".
+    algorithm: Optional[str] = None
+    result_count: Optional[int] = None
+    total_ms: float = 0.0
+    phases: List[Phase] = field(default_factory=list)
+    plan: Optional[dict] = None
+    io: Optional[dict] = None
+    #: Worker-side span trees (plain dicts) returned by pooled executions.
     worker_spans: List[dict] = field(default_factory=list)
+    _mark: float = field(default=0.0, init=False, repr=False)
 
-    @property
-    def cache_hit(self) -> bool:
-        """Whether the answer came from the result cache.
+    def stamp(self, name: str, detail: Optional[dict] = None) -> float:
+        """End the running phase as *name*; returns its duration (ms)."""
+        now = time.perf_counter()
+        ms = (now - self._mark) * 1000
+        self._mark = now
+        self.phases.append(Phase(name, ms, detail))
+        self.total_ms += ms
+        return ms
 
-        Cache hits are stamped with the cached entry's *original* execution
-        counters (merged into :attr:`counters`), so a hit is distinguishable
-        from a genuinely free query rather than returning zeroed counters.
+    def as_dict(self) -> dict:
+        """The EXPLAIN breakdown (CLI ``--explain``, ``/api/search?explain=1``).
+
+        The ``io`` deltas come from per-index pager and pool counters, so
+        under concurrent load they fold in other queries' I/O; single-query
+        contexts (CLI ``--explain``, benchmarks) attribute exactly.
         """
-        return self.result_from_cache
+        phases = [
+            {"name": name, "ms": round(ms, 3), **({"detail": detail} if detail else {})}
+            for name, ms, detail in self.phases
+        ]
+        return {
+            "query": self.query,
+            "semantics": self.semantics,
+            "algorithm_requested": self.algorithm_requested,
+            "algorithm": self.algorithm,
+            "cache_hit": self.cache_hit,
+            "result_count": self.result_count,
+            "total_ms": round(self.total_ms, 3),
+            "phases": phases,
+            "plan": self.plan,
+            "counters": self.counters.as_dict(),
+            "io": self.io,
+        }
 
 
 class QueryEngine:
@@ -294,11 +353,7 @@ class QueryEngine:
             labelnames=("semantics", "algorithm", "cache"),
         ).labels(semantics=semantics, algorithm=algorithm, cache=cache_state).inc()
         if delta is not None:
-            with self._totals_lock:
-                totals = self._totals.get(algorithm)
-                if totals is None:
-                    totals = self._totals[algorithm] = OpCounters()
-                totals.add(delta)
+            self._merge_totals(algorithm, delta)
             ops = registry.counter(
                 "xks_algo_ops_total",
                 "Algorithm-level operation counts (the paper's cost model).",
@@ -327,96 +382,10 @@ class QueryEngine:
                     exec_ms=round(exec_ms, 3),
                 )
 
-    def _accounted(
-        self,
-        iterator: Iterator[DeweyTuple],
-        stats: ExecutionStats,
-        semantics: str,
-        algorithm: str,
-        band: Optional[str] = None,
-    ) -> Iterator[DeweyTuple]:
-        """Wrap a lazy execution so counters flush once it is consumed."""
-        before = stats.counters.snapshot()
-        started = time.perf_counter()
-        try:
-            yield from iterator
-        finally:
-            exec_ms = (time.perf_counter() - started) * 1000
-            self._note_query(
-                semantics, "off", algorithm, stats.counters.delta(before), exec_ms,
-                band=band,
-            )
-
-    # -- corruption recovery -------------------------------------------------
-
-    def _run_with_retry(
-        self,
-        plan: QueryPlan,
-        stats: ExecutionStats,
-        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
-    ) -> tuple:
-        """Materialize one execution, re-running once on segment corruption.
-
-        A :class:`~repro.errors.CorruptionError` from the segment tier has
-        already quarantined the reader (``segments_active`` is now False),
-        so the retry rebuilds its sources from the B+trees — the ground
-        truth — and the answer is byte-identical to what the segments
-        would have produced.  B+tree corruption is not retried: there is
-        nothing more authoritative to fall back to.
-        """
-        try:
-            return tuple(runner(plan, stats))
-        except CorruptionError as exc:
-            if exc.tier != "segment":
-                raise
-            _log.warning("segment_corruption_retry", error=str(exc))
-            return tuple(runner(plan, stats))
-
-    def _retryable(
-        self,
-        plan: QueryPlan,
-        stats: ExecutionStats,
-        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
-    ) -> Iterator[DeweyTuple]:
-        """Streaming variant of :meth:`_run_with_retry`.
-
-        Answers are in document order and byte-identical across tiers, so
-        after a mid-stream corruption the re-execution skips the prefix
-        already handed to the consumer and resumes exactly where the
-        stream broke.
-        """
-        yielded = 0
-        try:
-            for item in runner(plan, stats):
-                yielded += 1
-                yield item
-            return
-        except CorruptionError as exc:
-            if exc.tier != "segment":
-                raise
-            _log.warning("segment_corruption_retry", error=str(exc))
-        for index, item in enumerate(runner(plan, stats)):
-            if index < yielded:
-                continue
-            yield item
-
     def generation(self) -> int:
         """The index's current mutation generation (0 for static indexes)."""
         generation = getattr(self.index, "generation", None)
         return generation() if callable(generation) else 0
-
-    def _plan_summary(self, plan: QueryPlan) -> dict:
-        """Plan summary for EXPLAIN, annotated with the posting tier.
-
-        ``posting_tier`` says which physical layer keyword lookups hit:
-        ``"segment"`` (packed posting segments, zero-copy mmap) or
-        ``"bptree"`` (B+tree descents); in-memory indexes report neither.
-        """
-        summary = plan.summary()
-        tier = getattr(self.index, "posting_tier", None)
-        if callable(tier):
-            summary["posting_tier"] = tier()
-        return summary
 
     def plan(
         self,
@@ -430,18 +399,17 @@ class QueryEngine:
         only between atoms of equal frequency (the cache key is
         order-insensitive), which never changes the result set.
         """
-        if algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        return self._plan_atoms(parse_query(query), algorithm)
+        _check_algorithm(algorithm)
+        generation = self.generation() if self.cache is not None else 0
+        return self._plan_atoms(parse_query(query), algorithm, generation)
 
-    def _plan_atoms(self, atoms: List[QueryAtom], algorithm: str) -> QueryPlan:
+    def _plan_atoms(
+        self, atoms: List[QueryAtom], algorithm: str, generation: int
+    ) -> QueryPlan:
         if self.cache is not None:
             key = normalize_key(
                 (a.display for a in atoms), algorithm, semantics="plan"
             )
-            generation = self.generation()
             hit, plan = self.cache.lookup_plan(key, generation)
             if hit:
                 return plan
@@ -464,22 +432,17 @@ class QueryEngine:
                 frequencies_by_atom[atom] = len(lst)
         ordered = sorted(atoms, key=lambda a: frequencies_by_atom[a])
         frequencies = [frequencies_by_atom[a] for a in ordered]
-        empty = any(f == 0 for f in frequencies)
-        if algorithm == "auto":
-            skew = (
-                max(frequencies) / min(frequencies)
-                if frequencies and min(frequencies) > 0
-                else float("inf")
-            )
-            algorithm = "il" if skew >= self.skew_threshold else "scan"
-        return QueryPlan(
+        plan = QueryPlan(
             [a.display for a in ordered],
             algorithm,
             frequencies,
-            empty,
+            any(f == 0 for f in frequencies),
             atoms=ordered,
             filtered=filtered,
         )
+        if algorithm == "auto":
+            plan.algorithm = "il" if plan.skew >= self.skew_threshold else "scan"
+        return plan
 
     def execute(
         self,
@@ -494,66 +457,27 @@ class QueryEngine:
         are answered from memory; the result is then an iterator over the
         memoized tuple rather than a pipelined computation.
 
-        With ``profile=True`` the execution is materialized and a
-        :class:`~repro.obs.profile.QueryProfile` (per-phase timings,
-        op-count deltas, I/O attribution) is attached to ``stats.profile``.
-        The answer is byte-identical to the non-profiled path.
+        ``stats`` receives the query's cost record.  With ``profile=True``
+        (EXPLAIN) the query runs in this thread, never in the pool, the
+        answer is materialized, and the record also gets the plan summary
+        and the I/O attribution.  The answer is byte-identical to the
+        non-profiled path.
         """
-        if algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        stats = stats if stats is not None else ExecutionStats()
-        if not profile:
-            return self._execute_cached(
-                parse_query(query), algorithm, "slca", stats, self.execute_plan
-            )
-        query_text = query if isinstance(query, str) else " ".join(query)
-        prof = QueryProfile(query_text, algorithm, "slca")
-        stats.profile = prof
-        started = time.perf_counter()
-        counters_before = stats.counters.snapshot()
-        io_before = self._io_state()
-        with maybe_phase(prof, "parse"):
-            atoms = parse_query(query)
-        result = self._execute_cached(
-            atoms, algorithm, "slca", stats, self.execute_plan, prof=prof
-        )
-        prof.total_ms = (time.perf_counter() - started) * 1000
-        prof.counters = stats.counters.delta(counters_before).as_dict()
-        prof.io = self._io_delta(io_before)
-        return result
+        _check_algorithm(algorithm)
+        return self._query(query, algorithm, "slca", stats, profile)
 
-    def _io_state(self) -> Optional[dict]:
-        """Snapshot of pager/pool counters (None for in-memory indexes)."""
+    def _io_state(self) -> Optional[tuple]:
+        """Pager/pool counters in :data:`_IO_KEYS` order (None in memory)."""
         pager = getattr(self.index, "pager", None)
         pool = getattr(self.index, "pool", None)
         if pager is None or pool is None:
             return None
-        return {"pager": pager.stats.as_dict(), "pool": pool.stats.as_dict()}
-
-    def _io_delta(self, before: Optional[dict]) -> Optional[dict]:
-        """Pager/pool counter movement since :meth:`_io_state`.
-
-        Per-index counters, so concurrent queries' I/O folds in; exact in
-        single-query contexts (CLI ``--explain``, benchmarks).
-        """
-        after = self._io_state()
-        if before is None or after is None:
-            return None
-        return {
-            "page_reads": after["pager"]["reads"] - before["pager"]["reads"],
-            "sequential_reads": after["pager"]["sequential_reads"]
-            - before["pager"]["sequential_reads"],
-            "random_reads": after["pager"]["random_reads"]
-            - before["pager"]["random_reads"],
-            "pool_hits": after["pool"]["hits"] - before["pool"]["hits"],
-            "pool_misses": after["pool"]["misses"] - before["pool"]["misses"],
-        }
+        io, hits = pager.stats, pool.stats
+        return (io.reads, io.sequential_reads, io.random_reads, hits.hits, hits.misses)
 
     # -- worker pool ---------------------------------------------------------
 
-    def _pool_execute(self, semantics, plan, algorithm, generation, stats=None):
+    def _pool_execute(self, semantics, plan, algorithm, generation, stats):
         """Try to run one planned query in a pool worker.
 
         Returns ``(ids, delta)`` on success, or ``None`` when the pool is
@@ -602,7 +526,7 @@ class QueryEngine:
         self.breaker.record_success()
         delta = OpCounters(**task.counters)
         self._replay_worker_events(task)
-        if stats is not None and task.spans is not None:
+        if task.spans is not None:
             stats.worker_spans.append(task.spans)
         return tuple(task.ids), delta
 
@@ -647,9 +571,9 @@ class QueryEngine:
         return (event[0], event[1], event[2], tuple(values)) + tuple(event[4:])
 
     def _merge_totals(self, algorithm: str, delta: OpCounters) -> None:
-        """Fold a pooled execution's op counters into the engine totals
-        (the ``/statz`` counters section) — the registry side already
-        arrived via event replay."""
+        """Fold an execution's op counters into the engine totals (the
+        ``/statz`` counters section); a pooled execution's registry side
+        arrives via event replay instead."""
         with self._totals_lock:
             totals = self._totals.get(algorithm)
             if totals is None:
@@ -669,134 +593,140 @@ class QueryEngine:
                 labelnames=("reason",),
             ).labels(reason=reason).inc()
 
-    def _execute_cached(
+    def _query(
         self,
-        atoms: List[QueryAtom],
+        query: Union[str, Sequence[str]],
         algorithm: str,
         semantics: str,
-        stats: ExecutionStats,
-        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
-        prof: Optional[QueryProfile] = None,
+        stats: Optional[ExecutionStats],
+        profile: bool = False,
     ) -> Iterator[DeweyTuple]:
-        """Run (or recall) one query under one result semantics.
+        """One query, whatever the entry point: cache lookup → plan →
+        pool-or-thread run → record → cache store.
 
-        Cache entries are ``(ids, counters)`` pairs — the SLCA tuple plus
-        the operation counters of the execution that computed it — so a
-        cache hit can stamp :class:`ExecutionStats` with the original cost
-        instead of returning indistinguishable zeroes.
+        Cache entries are ``(ids, counters)`` pairs — the answer plus the
+        operation counters of the execution that computed it — so a cache
+        hit can stamp the record with the original cost instead of
+        returning indistinguishable zeroes.  A hit still plans (from the
+        plan cache), so the record names the algorithm an execution would
+        have run.
 
         A cache miss executes in the worker pool when one is attached
-        (falling back in-thread on any :class:`~repro.errors.PoolError`).
-        Profiled (EXPLAIN) calls bypass the pool so the profile describes
-        an execution in this process.
+        (falling back in-thread on any :class:`~repro.errors.PoolError`);
+        profiled (EXPLAIN) calls bypass the pool so the record describes an
+        execution in this process.  Only an unprofiled query without a
+        cache is streamed; every other answer is materialized.
         """
-        pooled_ok = prof is None and self.pool is not None
-        if self.cache is None:
-            with maybe_phase(prof, "plan") as phase:
-                plan = self._plan_atoms(atoms, algorithm)
-            if prof is None:
-                if pooled_ok:
-                    pooled = self._pool_execute(
-                        semantics, plan, algorithm, self.generation(), stats=stats
-                    )
-                    if pooled is not None:
-                        # The worker already counted this query (event
-                        # replay in _pool_execute) — only the engine-local
-                        # totals need merging here.
-                        ids, delta = pooled
-                        stats.counters.add(delta)
-                        self._merge_totals(plan.algorithm, delta)
-                        return iter(ids)
-                return self._accounted(
-                    self._retryable(plan, stats, runner), stats, semantics,
-                    plan.algorithm, band=plan.band,
-                )
-            prof.algorithm = plan.algorithm
-            prof.plan = self._plan_summary(plan)
-            if phase is not None:
-                phase.detail["algorithm"] = plan.algorithm
-            return self._run_profiled(plan, semantics, "off", stats, runner, prof)
-        key = normalize_key((a.display for a in atoms), algorithm, semantics)
-        generation = self.generation()
-        with maybe_phase(prof, "cache_lookup"):
-            hit, entry = self.cache.lookup_result(key, generation)
+        stats = stats if stats is not None else ExecutionStats()
+        stats._mark = time.perf_counter()
+        io_before = self._io_state() if profile else None
+        atoms = parse_query(query)
+        stats.query = query if isinstance(query, str) else " ".join(query)
+        stats.semantics = semantics
+        stats.algorithm_requested = algorithm
+        stats.stamp("parse")
+        cache = self.cache
+        pool = self.pool if not profile else None
+        generation = self.generation() if cache is not None or pool is not None else 0
+        hit = False
+        if cache is not None:
+            key = normalize_key((a.display for a in atoms), algorithm, semantics)
+            hit, entry = cache.lookup_result(key, generation)
+            stats.stamp("cache_lookup")
+        plan = self._plan_atoms(atoms, algorithm, generation)
+        stats.algorithm = plan.algorithm
+        if profile:
+            # The summary names the posting tier keyword lookups hit:
+            # "segment" (packed segments) or "bptree"; in-memory: neither.
+            stats.plan = plan.summary()
+            tier = getattr(self.index, "posting_tier", None)
+            if callable(tier):
+                stats.plan["posting_tier"] = tier()
+        stats.stamp("plan", None if hit else {"algorithm": plan.algorithm})
         if hit:
-            ids, cached_counters = entry
+            ids, counters = entry
             stats.cache_hits += 1
-            stats.result_from_cache = True
-            if cached_counters is not None:
-                stats.counters.add(cached_counters)
+            stats.cache_hit = True
+            stats.result_count = len(ids)
+            if counters is not None:
+                stats.counters.add(counters)
             self._note_query(semantics, "hit", algorithm, None, None)
-            if prof is not None:
-                prof.cache_hit = True
-                prof.result_count = len(ids)
-                # Plans are cheap; re-derive one so EXPLAIN on a hit still
-                # shows what an execution would have run.
-                with maybe_phase(prof, "plan"):
-                    plan = self._plan_atoms(atoms, algorithm)
-                prof.algorithm = plan.algorithm
-                prof.plan = self._plan_summary(plan)
-            return iter(ids)
-        stats.cache_misses += 1
-        with maybe_phase(prof, "plan") as phase:
-            plan = self._plan_atoms(atoms, algorithm)
-        if prof is not None:
-            prof.algorithm = plan.algorithm
-            prof.plan = self._plan_summary(plan)
-            if phase is not None:
-                phase.detail["algorithm"] = plan.algorithm
-        pooled = (
-            self._pool_execute(semantics, plan, algorithm, generation, stats=stats)
-            if pooled_ok
-            else None
-        )
-        if pooled is not None:
-            # Pooled executions are fully counted worker-side and replayed
-            # (_pool_execute); only the engine-local totals merge here.
-            value, delta = pooled
-            stats.counters.add(delta)
-            self._merge_totals(plan.algorithm, delta)
         else:
-            before = stats.counters.snapshot()
-            exec_started = time.perf_counter()
-            with maybe_phase(prof, "execute", algorithm=plan.algorithm):
-                value = self._run_with_retry(plan, stats, runner)
-            exec_ms = (time.perf_counter() - exec_started) * 1000
-            delta = stats.counters.delta(before)
-            self._note_query(
-                semantics, "miss", plan.algorithm, delta, exec_ms, band=plan.band
+            if cache is not None:
+                stats.cache_misses += 1
+            pooled = (
+                self._pool_execute(semantics, plan, algorithm, generation, stats)
+                if pool is not None
+                else None
             )
-        with maybe_phase(prof, "cache_store"):
-            evictions_before = self.cache.results.stats.evictions
-            self.cache.store_result(key, generation, (value, delta))
-            stats.cache_evictions += (
-                self.cache.results.stats.evictions - evictions_before
-            )
-        if prof is not None:
-            prof.result_count = len(value)
-        return iter(value)
+            if pooled is not None:
+                # The worker counted this query and its metrics were replayed
+                # (_pool_execute); only the engine-local totals merge here.
+                ids, counters = pooled
+                stats.counters.add(counters)
+                self._merge_totals(plan.algorithm, counters)
+                stats.result_count = len(ids)
+                stats.stamp("execute", {"algorithm": plan.algorithm})
+            else:
+                counters = OpCounters()  # this execution's own cost
+                stream = self._run(plan, stats, counters, "off" if cache is None else "miss")
+                if cache is None and not profile:
+                    return stream
+                ids = tuple(stream)
+            if cache is not None:
+                evictions_before = cache.results.stats.evictions
+                cache.store_result(key, generation, (ids, counters))
+                stats.cache_evictions += cache.results.stats.evictions - evictions_before
+                stats.stamp("cache_store")
+        if io_before is not None:
+            after = self._io_state()
+            stats.io = {k: a - b for k, a, b in zip(_IO_KEYS, after, io_before)}
+        return iter(ids)
 
-    def _run_profiled(
+    def _run(
         self,
         plan: QueryPlan,
-        semantics: str,
-        cache_state: str,
         stats: ExecutionStats,
-        runner: Callable[[QueryPlan, ExecutionStats], Iterator[DeweyTuple]],
-        prof: QueryProfile,
+        counters: OpCounters,
+        cache_state: str,
     ) -> Iterator[DeweyTuple]:
-        """Materialized, timed execution for the EXPLAIN path (no cache)."""
-        before = stats.counters.snapshot()
-        exec_started = time.perf_counter()
-        with maybe_phase(prof, "execute", algorithm=plan.algorithm):
-            value = self._run_with_retry(plan, stats, runner)
-        exec_ms = (time.perf_counter() - exec_started) * 1000
+        """Stream one in-thread execution of *plan*, then record it.
+
+        A :class:`~repro.errors.CorruptionError` from the segment tier has
+        already quarantined the reader (``segments_active`` is now False),
+        so the re-run rebuilds its sources from the B+trees — the ground
+        truth.  Answers are in document order and byte-identical across
+        tiers, so the re-run skips the prefix already handed out and
+        resumes exactly where the stream broke.  B+tree corruption is not
+        retried: there is nothing more authoritative to fall back to.
+
+        The record step (the ``execute`` phase, the query's counters and
+        metrics) runs when the stream ends, also when the consumer closes
+        it early as ``search(limit=...)`` does; an execution that raises is
+        not recorded.
+        """
+        done = 0
+        try:
+            try:
+                for item in self._execute(plan, stats.semantics, counters):
+                    done += 1
+                    yield item
+            except CorruptionError as exc:
+                if exc.tier != "segment":
+                    raise
+                _log.warning("segment_corruption_retry", error=str(exc))
+                for item in islice(self._execute(plan, stats.semantics, counters), done, None):
+                    done += 1
+                    yield item
+        except GeneratorExit:
+            pass  # closed early by the consumer: still an execution
+        stats.counters.add(counters)
+        stats.result_count = done
+        exec_ms = stats.stamp("execute", {"algorithm": plan.algorithm})
         self._note_query(
-            semantics, cache_state, plan.algorithm, stats.counters.delta(before),
-            exec_ms, band=plan.band,
+            stats.semantics, cache_state, plan.algorithm, counters, exec_ms,
+            band=plan.band,
         )
-        prof.result_count = len(value)
-        return iter(value)
 
     def execute_many(
         self,
@@ -806,11 +736,11 @@ class QueryEngine:
     ) -> List[List[DeweyTuple]]:
         """Execute a batch of queries; results align with the input order.
 
-        The batch path plans everything first, then executes: queries that
-        normalize to the same atom set (regardless of keyword order) are
-        deduplicated and computed once, and — with a cache attached — only
-        the cache-misses are executed at all.  Shared ``stats`` accumulate
-        over the distinct executions.
+        Queries that normalize to the same atom set (regardless of keyword
+        order) are deduplicated and run once each through the same path as
+        :meth:`execute` — so with a cache attached only the cache misses
+        execute at all.  Shared ``stats`` accumulate the counters and cache
+        counts of the distinct queries.
 
         Every returned list is a **fresh, caller-owned copy**: two input
         queries that deduplicate to the same answer get independent lists,
@@ -818,95 +748,44 @@ class QueryEngine:
         one returned list can never corrupt another query's answer or a
         future cache hit.
 
-        With a worker pool attached, the distinct misses fan out across
+        With a worker pool attached, the distinct queries fan out across
         the pool concurrently (one dispatching thread per worker) — this
         is the batch analogue of the server's parallel read path, and the
         only place a single call exploits more than one worker at once.
         """
-        if algorithm not in ALGORITHMS:
-            raise QueryError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
+        _check_algorithm(algorithm)
         stats = stats if stats is not None else ExecutionStats()
-        use_generation = self.cache is not None or self.pool is not None
-        generation = self.generation() if use_generation else 0
-        parsed = [parse_query(query) for query in queries]
         keys = [
-            normalize_key((a.display for a in atoms), algorithm, "slca")
-            for atoms in parsed
+            normalize_key((a.display for a in parse_query(query)), algorithm, "slca")
+            for query in queries
         ]
-        # Phase 1 — resolve repeats and cached entries, plan the misses.
-        resolved: Dict[tuple, tuple] = {}
-        pending: List[tuple] = []
-        pending_plans: Dict[tuple, QueryPlan] = {}
-        for atoms, key in zip(parsed, keys):
-            if key in resolved or key in pending_plans:
-                continue
-            if self.cache is not None:
-                hit, entry = self.cache.lookup_result(key, generation)
-                if hit:
-                    ids, cached_counters = entry
-                    stats.cache_hits += 1
-                    if cached_counters is not None:
-                        stats.counters.add(cached_counters)
-                    self._note_query("slca", "hit", algorithm, None, None)
-                    resolved[key] = ids
-                    continue
-                stats.cache_misses += 1
-            pending.append(key)
-            pending_plans[key] = self._plan_atoms(atoms, algorithm)
+        distinct = dict(zip(keys, queries))  # one query per atom set
 
-        # Phase 2 — execute each distinct miss once.  Each execution gets
-        # its own ExecutionStats (OpCounters.add is not atomic) and the
-        # deltas merge under this thread after the fan-out joins.
-        def run_one(key: tuple):
-            plan = pending_plans[key]
-            pooled = (
-                self._pool_execute("slca", plan, algorithm, generation, stats=stats)
-                if self.pool is not None
-                else None
-            )
-            if pooled is not None:
-                # Counted worker-side and replayed; flag so the merge loop
-                # below does not note it a second time.
-                return key, pooled + (None, True)
-            local = ExecutionStats()
-            exec_started = time.perf_counter()
-            value = self._run_with_retry(plan, local, self.execute_plan)
-            exec_ms = (time.perf_counter() - exec_started) * 1000
-            return key, (value, local.counters, exec_ms, False)
+        def run_one(query) -> tuple:
+            # One record per query: OpCounters.add is not atomic, so the
+            # records merge under this thread after the fan-out joins.
+            record = ExecutionStats()
+            ids = tuple(self._query(query, algorithm, "slca", record))
+            return ids, record
 
-        if self.pool is not None and len(pending) > 1:
+        if self.pool is not None and len(distinct) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(
-                max_workers=min(len(pending), self.pool.size)
+                max_workers=min(len(distinct), self.pool.size)
             ) as dispatchers:
-                outcomes = list(dispatchers.map(run_one, pending))
+                outcomes = list(dispatchers.map(run_one, distinct.values()))
         else:
-            outcomes = [run_one(key) for key in pending]
-        for key, (value, delta, exec_ms, was_pooled) in outcomes:
-            plan = pending_plans[key]
-            stats.counters.add(delta)
-            if was_pooled:
-                self._merge_totals(plan.algorithm, delta)
-            else:
-                self._note_query(
-                    "slca",
-                    "miss" if self.cache is not None else "off",
-                    plan.algorithm,
-                    delta,
-                    exec_ms,
-                    band=plan.band,
-                )
-            if self.cache is not None:
-                evictions_before = self.cache.results.stats.evictions
-                self.cache.store_result(key, generation, (value, delta))
-                stats.cache_evictions += (
-                    self.cache.results.stats.evictions - evictions_before
-                )
-            resolved[key] = value
-        return [list(resolved[key]) for key in keys]
+            outcomes = [run_one(query) for query in distinct.values()]
+        answers = {}
+        for key, (ids, record) in zip(distinct, outcomes):
+            stats.counters.add(record.counters)
+            stats.cache_hits += record.cache_hits
+            stats.cache_misses += record.cache_misses
+            stats.cache_evictions += record.cache_evictions
+            stats.worker_spans.extend(record.worker_spans)
+            answers[key] = ids
+        return [list(answers[key]) for key in keys]
 
     def execute_plan(
         self,
@@ -914,18 +793,23 @@ class QueryEngine:
         stats: Optional[ExecutionStats] = None,
     ) -> Iterator[DeweyTuple]:
         """Run a previously computed plan."""
-        stats = stats if stats is not None else ExecutionStats()
+        if plan.algorithm not in ("il", "scan", "stack"):
+            raise QueryError(f"unknown algorithm {plan.algorithm!r}")
+        counters = stats.counters if stats is not None else OpCounters()
+        return self._execute(plan, "slca", counters)
+
+    def _execute(
+        self, plan: QueryPlan, semantics: str, counters: OpCounters
+    ) -> Iterator[DeweyTuple]:
+        """The core algorithm that answers *plan* under *semantics*."""
         if plan.empty:
             return iter(())
-        counters = stats.counters
-        if plan.algorithm in ("il", "scan"):
-            mode = "indexed" if plan.algorithm == "il" else "scan"
-            sources = [self._atom_source(plan, atom, mode, counters) for atom in plan.atoms]
-            return eager_slca(sources, counters)
-        if plan.algorithm == "stack":
+        if semantics == "elca" or plan.algorithm == "stack":
             lists = [self._atom_scan(plan, atom) for atom in plan.atoms]
-            return stack_slca(lists, counters)
-        raise QueryError(f"unknown algorithm {plan.algorithm!r}")
+            return (stack_elca if semantics == "elca" else stack_slca)(lists, counters)
+        mode = "indexed" if plan.algorithm == "il" else "scan"
+        sources = [self._atom_source(plan, atom, mode, counters) for atom in plan.atoms]
+        return (find_all_lcas if semantics == "lca" else eager_slca)(sources, counters)
 
     def _atom_source(
         self, plan: QueryPlan, atom: QueryAtom, mode: str, counters: OpCounters
@@ -951,18 +835,7 @@ class QueryEngine:
         stats: Optional[ExecutionStats] = None,
     ) -> Iterator[DeweyTuple]:
         """All LCAs (Section 5), pipelined via Algorithm 3 over IL."""
-        stats = stats if stats is not None else ExecutionStats()
-
-        def run(plan: QueryPlan, stats: ExecutionStats) -> Iterator[DeweyTuple]:
-            if plan.empty:
-                return iter(())
-            sources = [
-                self._atom_source(plan, atom, "indexed", stats.counters)
-                for atom in plan.atoms
-            ]
-            return find_all_lcas(sources, stats.counters)
-
-        return self._execute_cached(parse_query(query), "il", "lca", stats, run)
+        return self._query(query, "il", "lca", stats)
 
     def execute_elca(
         self,
@@ -972,12 +845,4 @@ class QueryEngine:
         """Exclusive LCAs — XRANK's original semantics, via the sort-merge
         stack over sequential list scans.  SLCA ⊆ ELCA ⊆ LCA.  Yields in
         bottom-up pop order (sort for document order)."""
-        stats = stats if stats is not None else ExecutionStats()
-
-        def run(plan: QueryPlan, stats: ExecutionStats) -> Iterator[DeweyTuple]:
-            if plan.empty:
-                return iter(())
-            lists = [self._atom_scan(plan, atom) for atom in plan.atoms]
-            return stack_elca(lists, stats.counters)
-
-        return self._execute_cached(parse_query(query), "stack", "elca", stats, run)
+        return self._query(query, "stack", "elca", stats)

@@ -77,6 +77,7 @@ import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
@@ -326,36 +327,34 @@ def system_collector(system: XKSearch):
     return collect
 
 
-def _attach_profile_spans(trace: Trace, profile) -> None:
-    """Graft the engine's EXPLAIN phases onto a request trace as spans."""
-    parent = Span("engine")
-    parent.duration_ms = profile.total_ms
-    for phase in profile.phases:
+def _trace_record(trace: Trace, stats: ExecutionStats) -> None:
+    """Project a query's cost record onto its request trace.
+
+    The record's phases become the children of an ``engine`` span; the
+    span trees pool workers shipped back (``Span.to_dict`` form) are
+    grafted beside it, so the exported trace shows the cross-process
+    execution under the *serving* request's trace id.
+    """
+    engine = Span("engine")
+    engine.duration_ms = stats.total_ms
+    for phase in stats.phases:
         child = Span(phase.name, phase.detail)
         child.duration_ms = phase.ms
-        parent.children.append(child)
-    trace.root.children.append(parent)
+        engine.children.append(child)
+    trace.root.children.append(engine)
     trace.annotate(
-        query=profile.query,
-        algorithm=profile.algorithm,
-        cache_hit=profile.cache_hit,
-        result_count=profile.result_count,
+        query=stats.query,
+        algorithm=stats.algorithm,
+        cache_hit=stats.cache_hit,
+        result_count=stats.result_count,
     )
-
-
-def _attach_worker_spans(trace: Trace, worker_spans: Sequence[dict]) -> None:
-    """Graft the pool workers' span trees under the request trace.
-
-    The worker serialized its spans (``Span.to_dict``) into the task
-    reply; reconstituting them here makes the exported trace show the
-    cross-process execution under the *serving* request's trace id.
-    """
-    for data in worker_spans:
+    for data in stats.worker_spans:
         try:
             trace.root.children.append(span_from_dict(data))
         except (TypeError, ValueError):
             continue
-    trace.annotate(pooled=True)
+    if stats.worker_spans:
+        trace.annotate(pooled=True)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -589,19 +588,23 @@ class _Handler(BaseHTTPRequestHandler):
         if shed is not None:
             self._send_shed(shed)
             return True
+        stats = ExecutionStats()
         try:
             plan = self.system.explain(query, algorithm=algorithm)
             started = time.perf_counter()
-            results = self.system.search(query, algorithm=algorithm, limit=50)
+            ids = self.system.search_ids(query, algorithm=algorithm, stats=stats)
+            # Dropping the sliced stream closes it, which records the query.
+            results = [self.system._decorate(d, query) for d in islice(ids, 50)]
+            del ids
             elapsed_ms = (time.perf_counter() - started) * 1000
         except DeadlineExceeded:
             raise  # 504, handled (and counted) centrally in do_GET
         except ReproError as exc:
             self._send(400, render_page(query, [], title=f"error: {exc}"))
             return True
-        self._slow_entry = {"path": "/search", "query": query, "algorithm": plan.algorithm}
+        self._slow_entry = {"path": "/search", "query": query, "algorithm": stats.algorithm}
         if self._trace is not None:
-            self._trace.annotate(query=query, algorithm=plan.algorithm)
+            self._trace.annotate(query=query, algorithm=stats.algorithm)
         self._send(
             200,
             render_page(query, results, plan=plan, elapsed_ms=elapsed_ms),
@@ -631,20 +634,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_shed(shed)
             return True
         stats = ExecutionStats()
-        # Traced requests get span detail from one of two sources: with a
-        # worker pool the execution is dispatched cross-process and the
-        # worker ships its span tree back (profiling in-thread would
-        # bypass the pool — the EXPLAIN contract); without a pool the
-        # EXPLAIN profile phases are grafted instead.  Explicit explain=1
-        # always profiles in-thread.
-        profiled = explain or (
-            self._trace is not None and self.system.engine.pool is None
-        )
         try:
             started = time.perf_counter()
             ids = list(
                 self.system.search_ids(
-                    query, algorithm=algorithm, stats=stats, profile=profiled
+                    query, algorithm=algorithm, stats=stats, profile=explain
                 )
             )
             elapsed_ms = (time.perf_counter() - started) * 1000
@@ -678,23 +672,21 @@ class _Handler(BaseHTTPRequestHandler):
             "count": len(ids),
             "ids": [".".join(str(c) for c in dewey) for dewey in ids],
             "elapsed_ms": round(elapsed_ms, 3),
-            "cached": stats.result_from_cache,
+            "cached": stats.cache_hit,
             "cache_hit": stats.cache_hit,
             "counters": stats.counters.as_dict(),
             "trace_id": self._trace_id,
         }
-        if explain and stats.profile is not None:
-            payload["explain"] = stats.profile.as_dict()
+        if explain:
+            payload["explain"] = stats.as_dict()
         self._slow_entry = {
             "path": "/api/search",
             "query": query,
-            "algorithm": algorithm,
+            "algorithm": stats.algorithm,
             "cache_hit": stats.cache_hit,
         }
-        if self._trace is not None and stats.profile is not None:
-            _attach_profile_spans(self._trace, stats.profile)
-        if self._trace is not None and stats.worker_spans:
-            _attach_worker_spans(self._trace, stats.worker_spans)
+        if self._trace is not None:
+            _trace_record(self._trace, stats)
         self._send_json(200, payload, elapsed_ms=elapsed_ms)
         return False
 

@@ -143,9 +143,9 @@ class XKSearch:
     ) -> Iterator[DeweyTuple]:
         """SLCAs as raw Dewey tuples, streamed (the pipelined answer).
 
-        With ``profile=True`` (EXPLAIN mode) the run is materialized and a
-        per-phase breakdown lands on ``stats.profile``; the answer itself
-        is byte-identical.
+        ``stats`` receives the query's cost record; with ``profile=True``
+        (EXPLAIN mode) the run is materialized and the record also gets the
+        plan summary and I/O attribution.  The answer is byte-identical.
         """
         return self.engine.execute(
             query, algorithm=algorithm, stats=stats, profile=profile

@@ -527,7 +527,7 @@ class TestEngineByteIdentical:
         for system, tier in ((on, "segment"), (off, "bptree")):
             stats = ExecutionStats()
             list(system.search_ids("xkrare xkbig", algorithm="il", stats=stats, profile=True))
-            assert stats.profile.plan["posting_tier"] == tier
+            assert stats.plan["posting_tier"] == tier
 
 
 @pytest.mark.skipif(

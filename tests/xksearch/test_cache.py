@@ -107,10 +107,10 @@ class TestCachedResultsMatchUncached:
         engine = QueryEngine(memory_index, cache=QueryCache())
         first = ExecutionStats()
         list(engine.execute("John Ben", stats=first))
-        assert first.cache_misses == 1 and not first.result_from_cache
+        assert first.cache_misses == 1 and not first.cache_hit
         second = ExecutionStats()
         list(engine.execute("ben john", stats=second))  # different order, same key
-        assert second.cache_hits == 1 and second.result_from_cache
+        assert second.cache_hits == 1 and second.cache_hit
         assert second.cache_hit
         # The hit is stamped with the original execution's counters, so a
         # cached answer is distinguishable from a genuinely free query.
@@ -128,7 +128,7 @@ class TestCachedResultsMatchUncached:
         # Repeats hit, and the three semantics never collide.
         stats = ExecutionStats()
         assert list(engine.execute_all_lca("John Ben", stats=stats)) == lca
-        assert stats.result_from_cache
+        assert stats.cache_hit
         assert list(engine.execute("John Ben")) == slca
 
     def test_plan_cache_hits(self, memory_index):

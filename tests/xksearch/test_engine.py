@@ -164,3 +164,60 @@ class TestExecuteMany:
         again = cached.execute_many(["ben john"])[0]
         assert again == pristine
         assert list(cached.execute("john ben")) == pristine
+
+
+class TestRecordingRule:
+    """An execution that raises is not recorded; one the consumer closes
+    early is.  The rule is the same with and without a result cache."""
+
+    @pytest.fixture(scope="class")
+    def dblp_index(self, tmp_path_factory):
+        from repro.index.inverted import DiskKeywordIndex
+        from repro.xksearch.system import XKSearch
+        from repro.xmltree.generate import dblp_like_tree
+
+        index_dir = tmp_path_factory.mktemp("recording") / "idx"
+        XKSearch.build(dblp_like_tree(seed=1), index_dir).close()
+        index = DiskKeywordIndex(index_dir)
+        yield index
+        index.close()
+
+    @staticmethod
+    def _recorded(cache_state: str) -> tuple:
+        from repro.obs.metrics import get_registry
+
+        registry = get_registry()
+        queries = registry.get_metric("xks_queries_total")
+        exec_ms = registry.get_metric("xks_query_exec_ms")
+        return (
+            sum(c.value for labels, c in (queries.items() if queries else ())
+                if labels["cache"] == cache_state),
+            sum(h.count for _, h in (exec_ms.items() if exec_ms else ())),
+        )
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cache_off", "cache_miss"])
+    def test_deadline_abort_is_not_recorded(self, dblp_index, cached, monkeypatch):
+        from repro.errors import DeadlineExceeded
+        from repro.robustness import deadline as deadline_mod
+        from repro.xksearch.cache import QueryCache
+
+        monkeypatch.setattr(deadline_mod, "CHECK_STRIDE", 1)
+        engine = QueryEngine(dblp_index, cache=QueryCache() if cached else None)
+        state = "miss" if cached else "off"
+        before = self._recorded(state)
+        with deadline_mod.bind_deadline(deadline_mod.Deadline.after_ms(0)):
+            with pytest.raises(DeadlineExceeded):
+                list(engine.execute("author title"))
+        assert self._recorded(state) == before
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cache_off", "cache_miss"])
+    def test_early_close_is_recorded(self, dblp_index, cached):
+        from repro.xksearch.cache import QueryCache
+        from repro.xksearch.system import XKSearch
+
+        system = XKSearch(dblp_index, cache=QueryCache() if cached else None)
+        state = "miss" if cached else "off"
+        queries, observations = self._recorded(state)
+        # search(limit=...) stops consuming the stream after two answers.
+        assert len(system.search("author title", limit=2)) == 2
+        assert self._recorded(state) == (queries + 1, observations + 1)

@@ -83,7 +83,6 @@ def serve_traced(system, path, between=None):
     try:
         for i, query in enumerate(QUERIES):
             if i == len(QUERIES) // 2 and between is not None:
-                wait_counted(registry, i)
                 between()
             request = urllib.request.Request(
                 f"http://{host}:{port}/api/search?q={query}",
@@ -92,7 +91,9 @@ def serve_traced(system, path, between=None):
             with urllib.request.urlopen(request, timeout=10) as resp:
                 body = _ELAPSED.sub(b'"elapsed_ms": 0', resp.read())
                 responses.append((resp.status, resp.headers["X-Trace-Id"], body))
-        wait_counted(registry, len(QUERIES))
+            # Each handler thread writes its trace after its response; wait
+            # for it so the next request's write cannot overtake it.
+            wait_counted(registry, i + 1)
     finally:
         server.shutdown()
         server.server_close()

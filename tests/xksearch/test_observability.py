@@ -65,17 +65,17 @@ class TestEngineProfile:
             expected = list(plain.execute(query))
             stats = ExecutionStats()
             assert list(plain.execute(query, stats=stats, profile=True)) == expected
-            assert stats.profile is not None
+            assert stats.plan is not None
 
     def test_profile_phases_and_counters(self, memory_index):
         engine = QueryEngine(memory_index)
         stats = ExecutionStats()
         ids = list(engine.execute("John Ben", stats=stats, profile=True))
-        prof = stats.profile
+        prof = stats
         assert [phase.name for phase in prof.phases] == ["parse", "plan", "execute"]
         assert prof.algorithm in ("il", "scan")
         assert prof.result_count == len(ids)
-        assert prof.counters["lca_ops"] > 0
+        assert prof.counters.lca_ops > 0
         assert prof.plan["keywords"] and prof.plan["frequencies"]
         assert prof.total_ms >= sum(phase.ms for phase in prof.phases) * 0.5
         # In-memory index: no I/O attribution.
@@ -89,7 +89,7 @@ class TestEngineProfile:
         stats = ExecutionStats()
         again = list(engine.execute("ben john", stats=stats, profile=True))
         assert again == first
-        prof = stats.profile
+        prof = stats
         assert prof.cache_hit and stats.cache_hit
         assert "cache_lookup" in [phase.name for phase in prof.phases]
         assert prof.algorithm in ("il", "scan")  # plan re-derived for EXPLAIN
@@ -101,10 +101,10 @@ class TestEngineProfile:
         stats = ExecutionStats()
         list(disk_system.search_ids("john xyznotthere", stats=stats, profile=True))
         # Even an empty-result query planned against disk has an io block.
-        assert stats.profile.io is not None
+        assert stats.io is not None
         stats = ExecutionStats()
         ids = list(disk_system.search_ids("John Ben", stats=stats, profile=True))
-        io = stats.profile.io
+        io = stats.io
         if not stats.cache_hit and disk_system.index.posting_tier() != "segment":
             # Buffer-pool touches only happen on the B+tree tier; the
             # segment fast path reads an mmap outside the pool.
@@ -183,6 +183,39 @@ class TestExplainApi:
         assert explained["cache_hit"] in (True, False)
         assert explained["counters"]["lca_ops"] >= 0
 
+    def test_metrics_and_explain_come_from_one_record(self, obs_server):
+        from repro.obs.metrics import get_registry
+
+        def recorded(algorithm):
+            registry = get_registry()
+            ops = {
+                labels["op"]: child.value
+                for labels, child in registry.get_metric("xks_algo_ops_total").items()
+                if labels["algorithm"] == algorithm
+            }
+            exec_sum = sum(
+                child.sum for _, child in registry.get_metric("xks_query_exec_ms").items()
+            )
+            return ops, exec_sum
+
+        fetch(f"{obs_server}/api/search?q=John+Ben")  # registers the families
+        algorithm = "scan"
+        ops_before, sum_before = recorded(algorithm)
+        _, _, body = fetch(
+            f"{obs_server}/api/search?q=ben+class&algorithm={algorithm}&explain=1"
+        )
+        ops_after, sum_after = recorded(algorithm)
+        payload = json.loads(body)
+        explain = payload["explain"]
+        assert explain["cache_hit"] is False and explain["algorithm"] == algorithm
+        assert payload["counters"] == explain["counters"]
+        moved = {op: ops_after[op] - ops_before.get(op, 0) for op in ops_after}
+        assert {op: v for op, v in moved.items() if v} == {
+            op: v for op, v in explain["counters"].items() if v
+        }
+        (execute,) = [p for p in explain["phases"] if p["name"] == "execute"]
+        assert execute["ms"] == round(sum_after - sum_before, 3)
+
     def test_cache_hit_stamped_in_api(self, obs_server):
         fetch(f"{obs_server}/api/search?q=John+Ben")  # ensure cached
         _, _, body = fetch(f"{obs_server}/api/search?q=ben+john")
@@ -222,6 +255,25 @@ class TestSlowLog:
         assert engine_span["name"] == "engine"
         assert {child["name"] for child in engine_span["children"]} >= {"plan"}
 
+    @pytest.mark.parametrize("path", ["/search", "/api/search"])
+    def test_slow_log_carries_resolved_algorithm(self, obs_server, path):
+        import time
+
+        expected = None
+        for _ in range(2):  # a miss, then a cache hit
+            fetch(f"{obs_server}/debug/slow?clear=1")
+            fetch(f"{obs_server}{path}?q=smith+class&algorithm=auto")
+            # The handler logs the request after its response is written.
+            deadline = time.monotonic() + 10.0
+            entries = []
+            while not entries and time.monotonic() < deadline:
+                _, _, body = fetch(f"{obs_server}/debug/slow")
+                entries = [e for e in json.loads(body)["entries"] if e["path"] == path]
+            (entry,) = entries
+            assert entry["algorithm"] in ("il", "scan")
+            assert entry["algorithm"] == (expected or entry["algorithm"])
+            expected = entry["algorithm"]
+
 
 class TestTraceIdValidation:
     def test_valid_trace_id_predicate(self):
@@ -259,7 +311,7 @@ class TestFrequencyBands:
         engine = QueryEngine(memory_index)
         stats = ExecutionStats()
         list(engine.execute("John Ben", stats=stats, profile=True))
-        plan = stats.profile.plan
+        plan = stats.plan
         assert plan["band"] in ("0", "1-9", "10-99", "100-999", "1000+")
 
     def test_exec_histogram_labeled_by_band_and_algorithm(self, obs_server):

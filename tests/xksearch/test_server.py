@@ -364,3 +364,35 @@ class TestCrossProcessTelemetry:
             if sample.name == "xks_query_exec_ms_count"
         )
         assert exec_count >= 3
+
+    def test_pooled_trace_has_engine_span_beside_worker_span(self, pooled_server):
+        url, trace_path, _ = pooled_server
+        trace_id = "beefcafe" * 2
+        request = urllib.request.Request(
+            f"{url}/api/search?q=xkbig+xkmid", headers={"X-Trace-Id": trace_id}
+        )
+        with urllib.request.urlopen(request, timeout=10) as response:
+            count = json.loads(response.read())["count"]
+        assert count > 0
+        import time
+
+        deadline = time.monotonic() + 10.0
+        records = []
+        while not records and time.monotonic() < deadline:
+            if trace_path.exists():
+                records = [
+                    json.loads(line)
+                    for line in trace_path.read_text().splitlines(keepends=True)
+                    if line.endswith("\n") and trace_id in line
+                ]
+            if not records:
+                time.sleep(0.02)
+        (record,) = records
+        assert [child["name"] for child in record["children"]] == ["engine", "worker"]
+        (engine,) = record["children"][:1]
+        assert [child["name"] for child in engine["children"]] == [
+            "parse", "plan", "execute",
+        ]
+        assert record["attrs"]["algorithm"] in ("il", "scan")
+        assert record["attrs"]["result_count"] == count
+        assert record["attrs"]["pooled"] is True
